@@ -311,10 +311,12 @@ let throughput_sweep ~quick () =
   let max_domains = min (Parallel.Pool.available_domains ()) cfg.a_shards in
   let time_at domains =
     ignore (Parallel.Sharded.run_alloc ~domains cfg);
+    (* lint: allow L1 — the sweep measures host throughput *)
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       ignore (Parallel.Sharded.run_alloc ~domains cfg)
     done;
+    (* lint: allow L1 — the sweep measures host throughput *)
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
   let times = List.init max_domains (fun i -> (i + 1, time_at (i + 1))) in

@@ -3,11 +3,12 @@
 
    `dsas_lint lib`              lint every .ml under lib/
    `dsas_lint --json lib bin`   machine-readable diagnostics
-   `dsas_lint --list-rules`     what L1..L5 mean, for pragma authors
+   `dsas_lint --list-rules`     what the rules mean, for pragma authors
 
-   Exit 0 when clean, 1 on any diagnostic.  Violations are suppressed
-   inline with `(* lint: allow L4 — reason *)` on the offending line or
-   the one above it; see --list-rules. *)
+   Exit 0 when clean, 1 on any diagnostic.  A violation is suppressed by
+   a pragma comment, `lint: allow L4 — reason` between comment
+   delimiters, on the offending line or the one above it; see
+   --list-rules. *)
 
 open Cmdliner
 
@@ -34,11 +35,14 @@ let print_rules () =
       Printf.printf "%s (%s)\n    %s\n" (Lint.Rule.id r) (Lint.Rule.slug r)
         (Lint.Rule.summary r))
     Lint.Rule.all;
-  print_endline
-    "\nSuppress one finding with `(* lint: allow RULE — reason *)` on the \
-     offending\nline or the line above; `(* lint: allow-file RULE — reason *)` \
+  (* The marker is spliced in so these examples are not read as
+     pragmas of this file. *)
+  Printf.printf
+    "\nSuppress one finding with `(* %s allow RULE — reason *)` on the \
+     offending\nline or the line above; `(* %s allow-file RULE — reason *)` \
      covers a file.\nThe reason is mandatory, and a pragma that suppresses \
-     nothing is itself an error."
+     nothing is itself an error.\n"
+    "lint:" "lint:"
 
 let run paths json list_rules boundaries =
   if list_rules then begin

@@ -124,9 +124,9 @@ let run_cmd =
   let watch_arg =
     Arg.(value & opt_all string [] & info [ "watch" ] ~docv:"RULE"
            ~doc:"With --telemetry: evaluate a watchdog rule over the snapshot \
-                 stream (repeatable).  Grammar: $(b,METRIC>V\\@K) / \
-                 $(b,METRIC<V\\@K) (threshold held for K snapshots), \
-                 $(b,METRIC=\\@K) (stalled for K), $(b,METRIC+V\\@K) (advanced \
+                 stream (repeatable).  Grammar: $(b,METRIC>V@K) / \
+                 $(b,METRIC<V@K) (threshold held for K snapshots), \
+                 $(b,METRIC=@K) (stalled for K), $(b,METRIC+V@K) (advanced \
                  less than V over K); a trailing $(b,!) escalates — the run \
                  exits non-zero if the rule ever fires.  Fires and clears are \
                  recorded as watchdog_* events in the --trace stream.")
@@ -439,8 +439,7 @@ let replay_cmd =
     Arg.(value & opt (enum policies) Paging.Spec.Lru & info [ "policy"; "p" ]
            ~doc:"Replacement policy: fifo, lru, clock, random, nru, lfu, atlas, m44, opt.")
   in
-  let action file frames page_size policy_spec json =
-    let word_trace = Workload.Trace_io.load_trace file in
+  let replay word_trace frames page_size policy_spec json =
     let trace =
       if page_size = 1 then word_trace else Workload.Trace.to_pages ~page_size word_trace
     in
@@ -466,7 +465,16 @@ let replay_cmd =
         (100. *. Obs.Summary.replay_fault_rate summary)
         summary.Obs.Summary.cold summary.Obs.Summary.evictions
   in
-  Cmd.v info Term.(const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag)
+  let action file frames page_size policy_spec json =
+    if frames <= 0 then `Error (false, "--frames must be positive")
+    else if page_size <= 0 then `Error (false, "--page-size must be positive")
+    else
+      match Workload.Trace_io.load_trace file with
+      | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
+      | word_trace -> `Ok (replay word_trace frames page_size policy_spec json)
+  in
+  Cmd.v info
+    Term.(ret (const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag))
 
 let stats_cmd =
   let doc = "Aggregate a recorded JSONL event stream (from `run --trace`)." in
@@ -1518,6 +1526,7 @@ let campaign_run_cmd =
                     externally via [capture] — the "engine time" is
                     wall-clock microseconds since the campaign started. *)
                  let tele_oc = Option.map open_out telemetry in
+                 (* lint: allow L1 — campaign telemetry is stamped in host time by design *)
                  let t0 = Unix.gettimeofday () in
                  let tele =
                    Option.map
@@ -1541,6 +1550,7 @@ let campaign_run_cmd =
                         | Campaign.Store.Done -> Obs.Registry.incr c_done
                         | Campaign.Store.Failed _ -> Obs.Registry.incr c_failed
                         | Campaign.Store.Pending -> ());
+                       (* lint: allow L1 — host elapsed time of the campaign, reported not simulated *)
                        let elapsed = Unix.gettimeofday () -. t0 in
                        Obs.Registry.set g_elapsed elapsed;
                        let settled =
@@ -1627,6 +1637,7 @@ let campaign_status_cmd =
          log shows Pending but with an open attempt is running right
          now (or its worker died without a completion line). *)
       let timings = Campaign.Store.timings ~dir in
+      (* lint: allow L1 — status compares the log's host-time stamps with now *)
       let now = Unix.gettimeofday () in
       let timing id = List.assoc_opt id timings in
       let started id =
@@ -1730,7 +1741,7 @@ let campaign_report_cmd =
       `Pre
         "  dsas_sim campaign report d --metric frag.external --by policy\n\
         \  dsas_sim campaign report d --metric frag.holes --by words --winner policy\n\
-        \  dsas_sim campaign report d --metric frag.external --fit words --agg std \\\n\
+        \  dsas_sim campaign report d --metric frag.external --fit words --agg std \\\\\n\
         \      --golden campaigns/x10_fss_golden.json";
     ]
   in

@@ -1,49 +1,51 @@
 type result = { refs : int; faults : int; cold : int; evictions : int }
 
+(* Flat engine: page-indexed [resident] and [touched] flags sized from
+   the trace extent, and the resident pages in ascending order in
+   [slots].  A victim is chosen only when every frame is full, when
+   [slots] holds exactly the resident set, so the policy borrows it as
+   its candidate array and nothing is allocated per reference. *)
 let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
   assert (frames > 0);
   let tracing = Obs.Sink.is_active obs in
-  let resident = Hashtbl.create frames in
-  let touched = Hashtbl.create 64 in
-  let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
-  let candidates () =
-    let a = Array.make (Hashtbl.length resident) 0 in
-    let i = ref 0 in
-    (* lint: allow L3 — the array is sorted immediately after filling *)
-    Hashtbl.iter
-      (fun p () ->
-        a.(!i) <- p;
-        incr i)
-      resident;
-    Array.sort compare a;
-    a
-  in
-  Array.iteri
-    (fun i page ->
-      let w = write i in
-      policy.Replacement.on_reference ~page ~write:w;
-      if not (Hashtbl.mem resident page) then begin
-        incr faults;
-        if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Fault { page }));
-        if not (Hashtbl.mem touched page) then begin
-          incr cold;
-          if tracing then
-            Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Cold_fault { page }));
-          Hashtbl.replace touched page ()
-        end;
-        if Hashtbl.length resident >= frames then begin
-          let victim = policy.Replacement.choose_victim ~candidates:(candidates ()) in
-          assert (Hashtbl.mem resident victim);
-          Hashtbl.remove resident victim;
-          policy.Replacement.on_evict ~page:victim;
-          incr evictions;
-          if tracing then
-            Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
-        end;
-        Hashtbl.replace resident page ();
-        policy.Replacement.on_load ~page
-      end)
+  let extent = ref 0 in
+  Array.iter
+    (fun page ->
+      if page < 0 then invalid_arg (Printf.sprintf "Fault_sim: negative page %d" page);
+      if page >= !extent then extent := page + 1)
     trace;
+  let resident = Array.make !extent false and touched = Array.make !extent false in
+  let slots = Resident_slots.create ~capacity:(min frames !extent) in
+  let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
+  for i = 0 to Array.length trace - 1 do
+    let page = trace.(i) in
+    policy.Replacement.on_reference ~page ~write:(write i);
+    if not resident.(page) then begin
+      incr faults;
+      if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Fault { page }));
+      if not touched.(page) then begin
+        incr cold;
+        if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Cold_fault { page }));
+        touched.(page) <- true
+      end;
+      (* Full below [frames] only when every page of the trace is
+         resident, and then no reference can fault. *)
+      if Resident_slots.is_full slots then begin
+        let victim =
+          policy.Replacement.choose_victim ~candidates:(Resident_slots.slots slots)
+        in
+        assert (resident.(victim));
+        resident.(victim) <- false;
+        Resident_slots.remove slots victim;
+        policy.Replacement.on_evict ~page:victim;
+        incr evictions;
+        if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
+      end;
+      resident.(page) <- true;
+      Resident_slots.add slots page;
+      policy.Replacement.on_load ~page
+    end
+  done;
   { refs = Array.length trace; faults = !faults; cold = !cold; evictions = !evictions }
 
 let run ?obs ~frames ~policy trace =

@@ -10,7 +10,13 @@
     When an observability sink is supplied, fault / cold-fault /
     eviction events are emitted with the {e reference index} as their
     timestamp (this engine has no clock); the default no-op sink costs
-    one branch per emission site. *)
+    one branch per emission site.
+
+    Pages must be non-negative: the engine keeps page-indexed residency
+    flags sized from the trace's extent and the resident set as an
+    ascending array (see {!Resident_slots}), and passes that array to
+    the policy as its candidates, so per reference it allocates nothing
+    and per eviction it neither copies nor sorts. *)
 
 type result = {
   refs : int;  (** references processed *)
@@ -22,7 +28,8 @@ type result = {
 val run :
   ?obs:Obs.Sink.t -> frames:int -> policy:Replacement.t -> Workload.Trace.t -> result
 (** Process the trace with demand fetch.  [frames] must be positive.
-    The [policy] must be freshly created (policies carry state). *)
+    The [policy] must be freshly created (policies carry state).
+    @raise Invalid_argument if the trace holds a negative page. *)
 
 val fault_rate : result -> float
 (** faults / refs (0. for an empty trace). *)

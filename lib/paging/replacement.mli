@@ -13,9 +13,23 @@
 
     A policy is a record of callbacks driven by the paging engine:
     [on_reference] fires for {e every} reference in trace order (hit or
-    fault), [on_load]/[on_evict] on residency changes, and
-    [choose_victim] must return one of the [candidates] it is given
-    (already filtered for locked pages). *)
+    fault), [on_load]/[on_evict] on residency changes ([on_load] only
+    for a page that is not resident), and [choose_victim] must return
+    one of the [candidates] it is given.
+
+    {b The [candidates] contract.}  The array is non-empty, holds the
+    evictable resident pages (already filtered for locked or in-flight
+    pages) in {e ascending} page order, and is borrowed: the engine may
+    pass its own resident-set array (as {!Fault_sim} does), so a policy
+    must neither mutate it nor keep it after returning.  Policies test
+    membership by binary search and break ties towards the earliest
+    candidate, i.e. the lowest page key.
+
+    {b Flat state.}  Per-page state (stamps, counts, use and modified
+    bits, the ATLAS times) lives in {!Flat_table}s keyed by the page,
+    which accept the sparse packed keys of the shared-pool engines; FIFO
+    and CLOCK keep their load order in arrays.  After warm-up no
+    callback allocates. *)
 
 type t = {
   name : string;
@@ -26,14 +40,21 @@ type t = {
 }
 
 val fifo : unit -> t
-(** Evict the page resident longest. *)
+(** Evict the page resident longest: the first entry of the load-order
+    queue that is a candidate.  Skipped entries keep their place,
+    including stale ones of pages evicted without [choose_victim] (e.g.
+    by {!Demand.advise_wont_need}), which are taken again if their page
+    is loaded and a candidate when the queue reaches them. *)
 
 val lru : unit -> t
 (** Evict the page unreferenced longest. *)
 
 val clock_sweep : unit -> t
 (** Second chance: a hand sweeps pages in load order, clearing use bits;
-    the first page found with its bit clear is the victim. *)
+    the first page found with its bit clear is the victim.  The hand
+    walks the ring as it was when the hand last wrapped; after
+    [2 * (resident + 1)] steps without a victim it gives up and takes
+    the first candidate. *)
 
 val random : Sim.Rng.t -> t
 (** Uniform choice among candidates. *)

@@ -1,0 +1,39 @@
+(** The resident set of a fixed-frame engine, as the ascending array of
+    its page keys.
+
+    A load inserts into the array and an eviction removes from it, both
+    by binary search and a block move.  Engines choose a victim only when
+    every frame is full, and then the backing array holds exactly the
+    resident keys in ascending order, so it is passed to
+    {!Replacement.t.choose_victim} as the candidate array with nothing
+    built or sorted per eviction.  Used by {!Fault_sim} and by the
+    two-level segmented engine. *)
+
+type t
+
+val create : capacity:int -> t
+(** An empty set holding at most [capacity] keys. *)
+
+val size : t -> int
+
+val is_full : t -> bool
+(** [size t = capacity]. *)
+
+val mem : t -> int -> bool
+(** Binary search, no allocation. *)
+
+val add : t -> int -> unit
+(** Insert a key that is not a member.
+    @raise Invalid_argument if the key is a member or the set is full. *)
+
+val remove : t -> int -> unit
+(** @raise Invalid_argument if the key is not a member. *)
+
+val slots : t -> int array
+(** The backing array, borrowed: its first [size t] elements are the
+    members in ascending order, and when {!is_full} that is all of it.
+    Callers must not mutate it. *)
+
+val ascending_mem : int array -> int -> bool
+(** Membership in an array sorted ascending, by binary search: how a
+    policy tests whether a page is among its candidates. *)

@@ -142,6 +142,17 @@ let test_lib_tree_clean () =
   List.iter (fun d -> print_endline (Lint.Diagnostic.to_string d)) diagnostics;
   check_int "no violations in lib/" 0 (List.length diagnostics)
 
+(* The same rules hold for the executables and both benchmark
+   harnesses: wall-clock reads there carry reasoned pragmas. *)
+let test_tools_tree_clean () =
+  let roots =
+    List.map (fun d -> resolve [ "../" ^ d; d ]) [ "bin"; "bench"; "perfbench" ]
+  in
+  let files, diagnostics = Lint.Engine.lint_paths roots in
+  check_bool "saw every tool" true (List.length files >= 8);
+  List.iter (fun d -> print_endline (Lint.Diagnostic.to_string d)) diagnostics;
+  check_int "no violations in bin/ bench/ perfbench/" 0 (List.length diagnostics)
+
 (* --- trace checker: synthetic streams, one per invariant class --- *)
 
 let ev t_us kind = Obs.Event.make ~t_us kind
@@ -314,6 +325,7 @@ let () =
           Alcotest.test_case "parse error" `Quick test_parse_error_single_diagnostic;
           Alcotest.test_case "json shape" `Quick test_diagnostic_json_shape;
           Alcotest.test_case "lib tree clean" `Quick test_lib_tree_clean;
+          Alcotest.test_case "bin bench perfbench clean" `Quick test_tools_tree_clean;
         ] );
       ( "trace-check",
         [

@@ -225,6 +225,24 @@ let test_load_rejects_garbage_with_line_number () =
         in
         find 0))
 
+(* Addresses are non-negative: a negative one would merge into page 0
+   under truncating division and index outside the fault simulator's
+   page arrays. *)
+let test_load_rejects_negative_address () =
+  let file = temp_file () in
+  let oc = open_out file in
+  output_string oc "1\n0\n-4\n";
+  close_out oc;
+  let result =
+    match Workload.Trace_io.load_trace file with
+    | _ -> "no error"
+    | exception Failure msg -> msg
+  in
+  Sys.remove file;
+  Alcotest.(check string) "file:line error"
+    (Printf.sprintf "%s: line 3: cannot parse \"-4\"" file)
+    result
+
 let test_load_events_skips_comments_and_blanks () =
   let file = temp_file () in
   let oc = open_out file in
@@ -336,6 +354,7 @@ let () =
           Alcotest.test_case "events crlf/trailing blanks" `Quick
             test_load_events_tolerates_crlf_and_trailing_blanks;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage_with_line_number;
+          Alcotest.test_case "negative address rejected" `Quick test_load_rejects_negative_address;
           Alcotest.test_case "events comments/blanks" `Quick
             test_load_events_skips_comments_and_blanks;
           Alcotest.test_case "events garbage rejected" `Quick
