@@ -9,16 +9,36 @@ let sectors = 16
 
 let rotation_us = 16_000  (* ~ATLAS-class drum *)
 
-(* Page requests with exponential interarrivals and uniform sectors. *)
+(* Page requests [(arrival_us, sector)] in arrival order, with
+   exponential interarrivals and uniform sectors. *)
 let request_stream rng ~count ~mean_gap_us =
   let now = ref 0. in
-  List.init count (fun id ->
+  List.init count (fun _ ->
       now := !now +. Sim.Rng.exponential rng mean_gap_us;
-      {
-        Memstore.Drum.id;
-        arrival_us = int_of_float !now;
-        sector = Sim.Rng.int rng sectors;
-      })
+      (int_of_float !now, Sim.Rng.int rng sectors))
+
+(* Serve the open-loop stream on a one-channel drum in the model's
+   event-loop style: everything the device would dispatch before a
+   request arrives is dispatched before that request is submitted, so
+   a scheduling decision sees exactly the requests that have arrived.
+   The page number is the sector. *)
+let mean_latency_us ~sched stream =
+  let m =
+    Device.Model.create
+      (Device.Model.config ~sched (Device.Geometry.drum ~sectors ~rotation_us ()))
+  in
+  let ignore_completion _ _ = () in
+  List.iter
+    (fun (arrival_us, sector) ->
+      Device.Model.deliver_due m ~now:(arrival_us - 1) ignore_completion;
+      ignore
+        (Device.Model.submit m ~now:arrival_us ~kind:Device.Request.Demand ~page:sector
+           ~words:0))
+    stream;
+  while Option.is_some (Device.Model.take_completion m) do
+    ()
+  done;
+  (Device.Model.stats m).Device.Model.mean_read_latency_us
 
 let measure ?(quick = false) ?seed () =
   let count = if quick then 400 else 4_000 in
@@ -28,19 +48,17 @@ let measure ?(quick = false) ?seed () =
     (fun load ->
       let mean_gap_us = float_of_int rotation_us /. load in
       List.map
-        (fun (name, policy) ->
+        (fun (name, sched) ->
           let rng = Sim.Rng.derive ?override:seed 777 in
-          let drum = Memstore.Drum.create ~sectors ~rotation_us policy in
-          let completions = Memstore.Drum.serve drum (request_stream rng ~count ~mean_gap_us) in
-          let latency = Memstore.Drum.mean_latency_us completions in
+          let latency = mean_latency_us ~sched (request_stream rng ~count ~mean_gap_us) in
           {
             policy = name;
             load;
             mean_latency_us = latency;
             revolutions_per_page = latency /. float_of_int rotation_us;
           })
-        [ ("arrival order (FIFO)", Memstore.Drum.Fifo_order);
-          ("shortest access first", Memstore.Drum.Shortest_access) ])
+        [ ("arrival order (FIFO)", Device.Sched.Fifo);
+          ("shortest access first", Device.Sched.Satf) ])
     loads
 
 let run ?quick ?obs:_ ?seed () =

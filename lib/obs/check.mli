@@ -78,7 +78,7 @@ val check_lines : ?limit:int -> string list -> report
 val check_jsonl : ?limit:int -> string -> (report, string) result
 (** Validate a JSONL trace file.  [Error] only for an unreadable file;
     unparsable lines are [Schema] violations in the report.  Blank
-    lines and [#] comments are skipped, as in {!Summary.scan_jsonl}. *)
+    lines and [#] comments are skipped, as in {!Query.load}. *)
 
 val to_json : report -> string
 

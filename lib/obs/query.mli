@@ -28,7 +28,8 @@ val of_events : Event.t list -> t
 
 val load : string -> (t, string) result
 (** Read a JSONL trace file; the name ["-"] reads from stdin instead
-    (left open).  [Error] on an unreadable file, on any malformed line
+    (left open).  Blank lines and ['#'] comment lines are skipped.
+    [Error] on an unreadable file, on any malformed line
     (up to five are quoted in the diagnostic), and on a trace with
     zero events. *)
 

@@ -28,14 +28,6 @@ val count : trace_stats -> string -> int
 
 val of_events : Event.t list -> trace_stats
 
-val scan_jsonl : string -> (trace_stats, string) result
-(** Aggregate a JSONL trace file without holding it in memory.  Blank
-    lines and ['#'] comment lines are skipped.  The whole file is
-    scanned even when lines are malformed: [Error] then reports the
-    total count of bad lines and the line numbers of the first few,
-    rather than silently truncating at the first.  [Error] is also
-    returned for an unreadable file. *)
-
 val trace_stats_to_json : trace_stats -> string
 
 val print_trace_stats : trace_stats -> unit

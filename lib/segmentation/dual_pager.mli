@@ -10,7 +10,9 @@
     Each segment's body is carved into large pages and its tail into
     small pages.  Working storage is split into two frame pools, one
     per size, each with its own replacement policy — the added
-    complexity the paper prices in.  Fault counting is untimed (like
+    complexity the paper prices in.  A pool is a
+    {!Paging.Resident_slots} set under {!Paging.Replacement.lru}, the
+    structures the other paging engines use.  Fault counting is untimed (like
     {!Two_level}); what the experiment reads off is faults per class,
     words of core actually occupied, and the internal waste of the
     resident set. *)

@@ -1,6 +1,7 @@
 (* Tests of the built executables: every subcommand's help renders
-   without cmdliner markup errors, and `replay` reports a malformed trace
-   file as one line on stderr with a non-zero exit. *)
+   without cmdliner markup errors, `replay` reports a malformed trace
+   file as one line on stderr with a non-zero exit, and `run --quick
+   all` prints exactly the committed report. *)
 
 let dsas_sim = "../../bin/dsas_sim.exe"
 
@@ -84,6 +85,25 @@ let test_replay_valid () =
       Alcotest.(check string) "summary"
         "LRU over 5 refs with 3 frames: 4 faults (80.00%), 4 cold, 1 evictions\n" stdout)
 
+(* The whole quick sweep is deterministic; the fixture is its output
+   before any refactoring, so a change that alters any experiment's
+   report fails here.  The fixture is never regenerated to pass. *)
+let test_quick_all_unchanged () =
+  let code, stdout, _ = run dsas_sim [ "run"; "--quick"; "all" ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  let lines s = String.split_on_char '\n' s in
+  let rec first_diff n = function
+    | e :: es, a :: as_ -> if e = a then first_diff (n + 1) (es, as_) else Some (n, e, a)
+    | [], [] -> None
+    | e :: _, [] -> Some (n, e, "<end of output>")
+    | [], a :: _ -> Some (n, "<end of fixture>", a)
+  in
+  match first_diff 1 (lines (read "../fixtures/quick_all.txt"), lines stdout) with
+  | None -> ()
+  | Some (n, expected, actual) ->
+    Alcotest.failf "line %d differs from fixtures/quick_all.txt:\n  expected: %s\n  actual:   %s"
+      n expected actual
+
 let () =
   Alcotest.run "cli"
     [
@@ -103,4 +123,5 @@ let () =
           Alcotest.test_case "garbage line" `Quick (rejected "3\n1\nfour\n");
           Alcotest.test_case "valid file" `Quick test_replay_valid;
         ] );
+      ("run", [ Alcotest.test_case "quick all unchanged" `Quick test_quick_all_unchanged ]);
     ]

@@ -1,3 +1,7 @@
+(* Reference drum: the sector-drum scheduler the library used before
+   experiment X8 ran on Device.Model, kept verbatim as the oracle that
+   the drum tests in test_memstore.ml run the device model against. *)
+
 type policy =
   | Fifo_order
   | Shortest_access

@@ -1,7 +1,8 @@
 (* Tests for the timed backing-store subsystem (lib/device): geometry
    timing, scheduling policies, channel overlap, writeback batching,
    fault injection, and the equivalence of the Fixed geometry with the
-   legacy flat-latency arithmetic in Paging.Demand. *)
+   legacy flat-latency arithmetic in Paging.Demand.  The open-loop
+   paging drum of X8 is tested in test_memstore. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -1,5 +1,7 @@
 (* Tests for the memstore library: physical stores, devices, levels,
-   channel. *)
+   channel; and the open-loop paging drum of X8, served by the device
+   model and differentially tested against the old drum scheduler kept
+   in Ref_drum. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -103,6 +105,188 @@ let test_level_transfer_async_queues () =
   check_int "second queues behind first" (2 * unit_cost) t2;
   check_int "busy_until tracks" (2 * unit_cost) (Memstore.Level.busy_until drum)
 
+(* --- The paging drum of X8 --- *)
+
+type served = { id : int; arrival_us : int; sector : int; start_us : int; finish_us : int }
+
+(* Serve an open-loop batch of [(arrival_us, sector)] requests on a
+   one-channel sector drum the way X8 does: in arrival order, delivering
+   everything due before each arrival before submitting it, then
+   draining.  Start times are read off the model's [Io_start] events.
+   Returns the requests in service order, with ids their positions in
+   the sorted batch, and the model's mean read latency. *)
+let serve_drum ~sched ~sectors ~rotation_us batch =
+  let batch = Array.of_list (List.stable_sort (fun (a, _) (b, _) -> compare a b) batch) in
+  let starts = Hashtbl.create 16 in
+  let obs =
+    Obs.Sink.collect (fun e ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Io_start { req; _ } -> Hashtbl.replace starts req e.Obs.Event.t_us
+        | _ -> ())
+  in
+  let m =
+    Device.Model.create ~obs
+      (Device.Model.config ~sched (Device.Geometry.drum ~sectors ~rotation_us ()))
+  in
+  let served = ref [] in
+  let note id finish_us =
+    let arrival_us, sector = batch.(id) in
+    served := { id; arrival_us; sector; start_us = Hashtbl.find starts id; finish_us } :: !served
+  in
+  Array.iter
+    (fun (arrival_us, sector) ->
+      Device.Model.deliver_due m ~now:(arrival_us - 1) note;
+      ignore
+        (Device.Model.submit m ~now:arrival_us ~kind:Device.Request.Demand ~page:sector
+           ~words:0))
+    batch;
+  let rec drain () =
+    match Device.Model.take_completion m with
+    | Some (id, fin) ->
+      note id fin;
+      drain ()
+    | None -> ()
+  in
+  drain ();
+  (List.rev !served, (Device.Model.stats m).Device.Model.mean_read_latency_us)
+
+let served_by ~sched ~sectors ~rotation_us batch =
+  fst (serve_drum ~sched ~sectors ~rotation_us batch)
+
+let span served = List.fold_left (fun m c -> max m c.finish_us) 0 served
+
+let test_drum_single_request_alignment () =
+  let serve batch = served_by ~sched:Device.Sched.Fifo ~sectors:4 ~rotation_us:4000 batch in
+  (* At t=0 the head is at sector 0: a request for sector 2 starts at
+     2000 and finishes at 3000. *)
+  (match serve [ (0, 2) ] with
+   | [ c ] ->
+     check_int "sector time" 1000 (c.finish_us - c.start_us);
+     check_int "start" 2000 c.start_us;
+     check_int "finish" 3000 c.finish_us
+   | _ -> Alcotest.fail "one completion expected");
+  (* A request for the sector currently under the heads waits a full
+     revolution. *)
+  match serve [ (100, 0) ] with
+  | [ c ] -> check_int "full revolution" 4000 c.start_us
+  | _ -> Alcotest.fail "one completion expected"
+
+let test_drum_satf_reorders () =
+  (* Two requests at t=0: sector 3 and sector 1.  FIFO serves id 0
+     (sector 3) first; SATF serves sector 1 first. *)
+  let first sched =
+    match served_by ~sched ~sectors:4 ~rotation_us:4000 [ (0, 3); (0, 1) ] with
+    | c :: _ -> c.id
+    | [] -> Alcotest.fail "nothing served"
+  in
+  check_int "fifo serves arrival order" 0 (first Device.Sched.Fifo);
+  check_int "satf serves nearest sector" 1 (first Device.Sched.Satf)
+
+let test_drum_satf_under_load_approaches_sector_time () =
+  let rng = Sim.Rng.create 5 in
+  let n = 500 in
+  (* Saturating arrivals: everything queued at t=0. *)
+  let batch = List.init n (fun _ -> (0, Sim.Rng.int rng 16)) in
+  let served = served_by ~sched:Device.Sched.Satf ~sectors:16 ~rotation_us:16000 batch in
+  (* SATF on a saturated queue transfers nearly back-to-back sectors. *)
+  check_bool "throughput near one sector per sector-time" true
+    (span served < n * 1000 * 3 / 2)
+
+let test_drum_all_served_once () =
+  let rng = Sim.Rng.create 6 in
+  let batch = List.init 100 (fun _ -> (Sim.Rng.int rng 50_000, Sim.Rng.int rng 8)) in
+  let served = served_by ~sched:Device.Sched.Satf ~sectors:8 ~rotation_us:8000 batch in
+  check_int "every request served" 100 (List.length served);
+  let ids = List.sort_uniq compare (List.map (fun c -> c.id) served) in
+  check_int "served exactly once" 100 (List.length ids);
+  List.iter
+    (fun c -> check_bool "no service before arrival" true (c.start_us >= c.arrival_us))
+    served
+
+(* Drum properties: service is exclusive and aligned; SATF never takes
+   longer than FIFO to drain a saturated batch. *)
+let drum_service_property =
+  QCheck.Test.make ~name:"drum service is exclusive, aligned and complete" ~count:60
+    QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_bound 20_000) (int_bound 7)))
+    (fun batch ->
+      let served = served_by ~sched:Device.Sched.Satf ~sectors:8 ~rotation_us:8000 batch in
+      List.length served = List.length batch
+      && List.for_all
+           (fun c ->
+             c.start_us >= c.arrival_us
+             && c.start_us mod 1000 = 0
+             && (c.start_us / 1000) mod 8 = c.sector
+             && c.finish_us = c.start_us + 1000)
+           served
+      (* no two services overlap *)
+      && (let sorted = List.sort (fun a b -> compare a.start_us b.start_us) served in
+          let rec disjoint = function
+            | a :: (b :: _ as rest) -> a.finish_us <= b.start_us && disjoint rest
+            | [ _ ] | [] -> true
+          in
+          disjoint sorted))
+
+let drum_satf_no_slower_property =
+  QCheck.Test.make ~name:"SATF drains a saturated batch no slower than FIFO" ~count:60
+    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 7))
+    (fun sectors ->
+      let batch = List.map (fun sector -> (0, sector)) sectors in
+      let drain sched = span (served_by ~sched ~sectors:8 ~rotation_us:8000 batch) in
+      drain Device.Sched.Satf <= drain Device.Sched.Fifo)
+
+(* Differential oracle: the old drum scheduler (Ref_drum) and the
+   device model fed open-loop must serve the same requests in the same
+   order at the same instants, with a bit-identical mean latency.  Ids
+   follow arrival order, as in X8, so both break ties the same way. *)
+type drum_case = {
+  sched : Device.Sched.t;
+  sectors : int;
+  sector_us : int;
+  arrivals : (int * int) list;  (* (arrival_us, sector), non-decreasing arrivals *)
+}
+
+let drum_case_gen =
+  let open QCheck.Gen in
+  let* sched = oneofl [ Device.Sched.Fifo; Device.Sched.Satf ] in
+  let* sectors = int_range 1 16 in
+  let* sector_us = frequency [ (1, int_range 1 10); (3, int_range 11 2_000) ] in
+  let* n = int_range 1 60 in
+  (* Zero gaps give equal arrivals (and a first arrival at 0); few
+     sectors give same-sector ties. *)
+  let gap = frequency [ (2, return 0); (3, int_bound (2 * sectors * sector_us)) ] in
+  let* gaps = list_repeat n gap in
+  let* secs = list_repeat n (int_bound (sectors - 1)) in
+  let _, arrivals = List.fold_left_map (fun t g -> (t + g, t + g)) 0 gaps in
+  return { sched; sectors; sector_us; arrivals = List.combine arrivals secs }
+
+let print_drum_case c =
+  Printf.sprintf "%s, %d sectors of %d us: %s" (Device.Sched.name c.sched) c.sectors
+    c.sector_us
+    (String.concat "; " (List.map (fun (a, s) -> Printf.sprintf "%d@%d" s a) c.arrivals))
+
+let drum_matches_reference_property =
+  QCheck.Test.make ~name:"device model serves as the reference drum" ~count:500
+    (QCheck.make ~print:print_drum_case drum_case_gen)
+    (fun c ->
+      let rotation_us = c.sectors * c.sector_us in
+      let served, mean = serve_drum ~sched:c.sched ~sectors:c.sectors ~rotation_us c.arrivals in
+      let policy =
+        match c.sched with
+        | Device.Sched.Satf -> Ref_drum.Shortest_access
+        | Device.Sched.Fifo | Device.Sched.Priority -> Ref_drum.Fifo_order
+      in
+      let reference =
+        Ref_drum.serve
+          (Ref_drum.create ~sectors:c.sectors ~rotation_us policy)
+          (List.mapi (fun id (arrival_us, sector) -> { Ref_drum.id; arrival_us; sector })
+             c.arrivals)
+      in
+      List.map (fun s -> (s.id, s.start_us, s.finish_us)) served
+      = List.map
+          (fun r -> (r.Ref_drum.request.Ref_drum.id, r.Ref_drum.start_us, r.Ref_drum.finish_us))
+          reference
+      && Int64.bits_of_float mean = Int64.bits_of_float (Ref_drum.mean_latency_us reference))
+
 (* --- Channel --- *)
 
 let test_channel_moves_and_charges () =
@@ -126,111 +310,6 @@ let test_channel_cheaper_than_processor () =
   Memstore.Channel.move hw mem ~src:1024 ~dst:0 ~len:1024;
   Memstore.Channel.move sw mem ~src:1024 ~dst:0 ~len:1024;
   check_bool "hardware channel faster" true (Sim.Clock.now clock_a < Sim.Clock.now clock_b)
-
-(* --- Drum --- *)
-
-let req id arrival_us sector = { Memstore.Drum.id; arrival_us; sector }
-
-let test_drum_single_request_alignment () =
-  let drum = Memstore.Drum.create ~sectors:4 ~rotation_us:4000 Memstore.Drum.Fifo_order in
-  check_int "sector time" 1000 (Memstore.Drum.sector_us drum);
-  (* At t=0 the head is at sector 0: a request for sector 2 starts at
-     2000 and finishes at 3000. *)
-  (match Memstore.Drum.serve drum [ req 0 0 2 ] with
-   | [ c ] ->
-     check_int "start" 2000 c.Memstore.Drum.start_us;
-     check_int "finish" 3000 c.Memstore.Drum.finish_us
-   | _ -> Alcotest.fail "one completion expected");
-  (* A request for the sector currently under the heads waits a full
-     revolution. *)
-  match Memstore.Drum.serve drum [ req 0 100 0 ] with
-  | [ c ] -> check_int "full revolution" 4000 c.Memstore.Drum.start_us
-  | _ -> Alcotest.fail "one completion expected"
-
-let test_drum_satf_reorders () =
-  (* Two requests at t=0: sector 3 and sector 1.  FIFO serves id 0
-     (sector 3) first; SATF serves sector 1 first. *)
-  let batch = [ req 0 0 3; req 1 0 1 ] in
-  let first policy =
-    let drum = Memstore.Drum.create ~sectors:4 ~rotation_us:4000 policy in
-    (List.hd (Memstore.Drum.serve drum batch)).Memstore.Drum.request.Memstore.Drum.id
-  in
-  check_int "fifo serves arrival order" 0 (first Memstore.Drum.Fifo_order);
-  check_int "satf serves nearest sector" 1 (first Memstore.Drum.Shortest_access)
-
-let test_drum_satf_under_load_approaches_sector_time () =
-  let rng = Sim.Rng.create 5 in
-  let n = 500 in
-  (* Saturating arrivals: everything queued at t=0. *)
-  let batch = List.init n (fun id -> req id 0 (Sim.Rng.int rng 16)) in
-  let drum = Memstore.Drum.create ~sectors:16 ~rotation_us:16000 Memstore.Drum.Shortest_access in
-  let completions = Memstore.Drum.serve drum batch in
-  let span = List.fold_left (fun m c -> max m c.Memstore.Drum.finish_us) 0 completions in
-  (* SATF on a saturated queue transfers nearly back-to-back sectors. *)
-  check_bool "throughput near one sector per sector-time" true
-    (span < n * Memstore.Drum.sector_us drum * 3 / 2)
-
-let test_drum_all_served_once () =
-  let rng = Sim.Rng.create 6 in
-  let batch = List.init 100 (fun id -> req id (Sim.Rng.int rng 50_000) (Sim.Rng.int rng 8)) in
-  let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 Memstore.Drum.Shortest_access in
-  let completions = Memstore.Drum.serve drum batch in
-  check_int "every request served" 100 (List.length completions);
-  let ids = List.sort_uniq compare
-      (List.map (fun c -> c.Memstore.Drum.request.Memstore.Drum.id) completions) in
-  check_int "served exactly once" 100 (List.length ids);
-  List.iter
-    (fun c ->
-      check_bool "no service before arrival" true
-        (c.Memstore.Drum.start_us >= c.Memstore.Drum.request.Memstore.Drum.arrival_us))
-    completions
-
-(* Drum properties: service is exclusive and aligned; SATF never takes
-   longer than FIFO to drain a saturated batch. *)
-let drum_service_property =
-  QCheck.Test.make ~name:"drum service is exclusive, aligned and complete" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_bound 20_000) (int_bound 7)))
-    (fun reqs ->
-      let batch =
-        List.mapi (fun id (arrival_us, sector) -> { Memstore.Drum.id; arrival_us; sector })
-          reqs
-      in
-      let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 Memstore.Drum.Shortest_access in
-      let completions = Memstore.Drum.serve drum batch in
-      List.length completions = List.length batch
-      && List.for_all
-           (fun c ->
-             c.Memstore.Drum.start_us >= c.Memstore.Drum.request.Memstore.Drum.arrival_us
-             && c.Memstore.Drum.start_us mod 1000 = 0
-             && (c.Memstore.Drum.start_us / 1000) mod 8
-                = c.Memstore.Drum.request.Memstore.Drum.sector
-             && c.Memstore.Drum.finish_us = c.Memstore.Drum.start_us + 1000)
-           completions
-      (* no two services overlap *)
-      && (let sorted =
-            List.sort (fun a b -> compare a.Memstore.Drum.start_us b.Memstore.Drum.start_us)
-              completions
-          in
-          let rec disjoint = function
-            | a :: (b :: _ as rest) ->
-              a.Memstore.Drum.finish_us <= b.Memstore.Drum.start_us && disjoint rest
-            | [ _ ] | [] -> true
-          in
-          disjoint sorted))
-
-let drum_satf_no_slower_property =
-  QCheck.Test.make ~name:"SATF drains a saturated batch no slower than FIFO" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 7))
-    (fun sectors ->
-      let batch =
-        List.mapi (fun id sector -> { Memstore.Drum.id; arrival_us = 0; sector }) sectors
-      in
-      let span policy =
-        let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 policy in
-        List.fold_left (fun m c -> max m c.Memstore.Drum.finish_us) 0
-          (Memstore.Drum.serve drum batch)
-      in
-      span Memstore.Drum.Shortest_access <= span Memstore.Drum.Fifo_order)
 
 (* Property: blit then read back equals source contents. *)
 let physical_blit_roundtrip =
@@ -277,6 +356,7 @@ let () =
           Alcotest.test_case "served once" `Quick test_drum_all_served_once;
           QCheck_alcotest.to_alcotest drum_service_property;
           QCheck_alcotest.to_alcotest drum_satf_no_slower_property;
+          QCheck_alcotest.to_alcotest drum_matches_reference_property;
         ] );
       ( "channel",
         [

@@ -76,6 +76,26 @@ let test_load_truncated_fixture () =
       (contains_substring msg "malformed")
   | Ok _ -> Alcotest.fail "truncated trace loaded"
 
+(* Comment and blank lines are skipped, and the loaded events aggregate
+   exactly like the stream that was written. *)
+let test_load_skips_comments () =
+  let events =
+    [ ev ~t_us:0 (Obs.Event.Fault { page = 1 }); ev ~t_us:5 (Obs.Event.Fault { page = 2 }) ]
+  in
+  let path = Filename.temp_file "dsas_query" ".jsonl" in
+  let oc = open_out path in
+  output_string oc "# comment line\n\n";
+  let s = Obs.Sink.jsonl oc in
+  List.iter (Obs.Sink.emit s) events;
+  close_out oc;
+  let loaded = Obs.Query.load path in
+  Sys.remove path;
+  match loaded with
+  | Error msg -> Alcotest.fail msg
+  | Ok q ->
+    check_bool "same aggregate as in-memory" true
+      (Obs.Summary.of_events (Obs.Query.events q) = Obs.Summary.of_events events)
+
 (* --- filtering and grouping --- *)
 
 let sample_events =
@@ -628,6 +648,8 @@ let () =
           Alcotest.test_case "empty trace is an error" `Quick test_load_empty;
           Alcotest.test_case "truncated line is an error" `Quick
             test_load_truncated_fixture;
+          Alcotest.test_case "comments and blank lines skipped" `Quick
+            test_load_skips_comments;
         ] );
       ( "filter-group",
         [

@@ -506,6 +506,29 @@ let test_dual_pager_pools_replace_independently () =
   check_int "large pool thrashes" 3 (Segmentation.Dual_pager.large_faults d);
   check_int "small pool untouched" 0 (Segmentation.Dual_pager.small_faults d)
 
+let test_dual_pager_pool_is_lru () =
+  let d = make_dual ~large_frames:2 () in
+  let s = Segmentation.Dual_pager.add_segment d ~length:4096 in
+  let touch offset = Segmentation.Dual_pager.touch d ~segment:s ~offset ~write:false in
+  (* Large pages A, B, A, C through two frames: C displaces B, the page
+     unused longest; FIFO would displace A, the page loaded first. *)
+  List.iter touch [ 0; 1024; 0; 2048 ];
+  check_int "three cold faults" 3 (Segmentation.Dual_pager.large_faults d);
+  touch 0;
+  check_int "A stayed resident" 3 (Segmentation.Dual_pager.large_faults d);
+  touch 1024;
+  check_int "B was evicted" 4 (Segmentation.Dual_pager.large_faults d)
+
+let test_dual_pager_empty_pool () =
+  let d = make_dual ~small_frames:0 () in
+  let s = Segmentation.Dual_pager.add_segment d ~length:10 in
+  for _ = 1 to 3 do
+    Segmentation.Dual_pager.touch d ~segment:s ~offset:5 ~write:false
+  done;
+  check_int "every tail touch faults" 3 (Segmentation.Dual_pager.small_faults d);
+  check_int "nothing held" 0 (Segmentation.Dual_pager.resident_words d);
+  check_int "nothing useful" 0 (Segmentation.Dual_pager.resident_useful_words d)
+
 let test_dual_pager_bounds () =
   let d = make_dual () in
   let s = Segmentation.Dual_pager.add_segment d ~length:100 in
@@ -563,6 +586,8 @@ let () =
           Alcotest.test_case "tail waste" `Quick test_dual_pager_tail_waste_visible;
           Alcotest.test_case "independent pools" `Quick test_dual_pager_pools_replace_independently;
           Alcotest.test_case "bounds" `Quick test_dual_pager_bounds;
+          Alcotest.test_case "pool is LRU" `Quick test_dual_pager_pool_is_lru;
+          Alcotest.test_case "empty pool" `Quick test_dual_pager_empty_pool;
         ] );
       ( "two_level",
         [
