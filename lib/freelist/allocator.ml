@@ -8,6 +8,7 @@ type t = {
   mutable live_words : int;  (* sum of payload words of live blocks *)
   mutable live_blocks : int;
   mutable failures : int;
+  mutable examined : int;  (* free-list nodes looked at by the current search *)
   searches : Metrics.Stats.t;
   obs : Obs.Sink.t;
   tracing : bool;
@@ -33,6 +34,7 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
       live_words = 0;
       live_blocks = 0;
       failures = 0;
+      examined = 0;
       searches = Metrics.Stats.create ();
       obs;
       tracing = Obs.Sink.is_active obs;
@@ -40,7 +42,7 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
       ops = 0;
     }
   in
-  Block.write_tags mem ~base 0 { size = len; allocated = false };
+  Block.write_tags mem ~base 0 ~size:len ~allocated:false;
   Block.write_next mem ~base 0 null;
   Block.write_prev mem ~base 0 null;
   t
@@ -56,7 +58,9 @@ let policy t = t.policy
 
 let capacity t = t.len
 
-let header t off = Block.read_header t.mem ~base:t.base off
+let header t off = Block.header t.mem ~base:t.base off
+
+let write_tags t off ~size ~allocated = Block.write_tags t.mem ~base:t.base off ~size ~allocated
 
 let next_free t off = Block.read_next t.mem ~base:t.base off
 
@@ -72,222 +76,212 @@ let unlink t off =
   if next <> null then set_prev t next prev;
   if t.rover = off then t.rover <- next
 
+(* Thread node [off] between list nodes [prev] and [next] ([null] at
+   the list's ends). *)
+let link t off ~prev ~next =
+  set_next t off next;
+  set_prev t off prev;
+  if prev = null then t.free_head <- off else set_next t prev off;
+  if next <> null then set_prev t next off
+
 (* Replace node [off] by node [off'] at the same list position; used when
-   splitting leaves the remainder where the hole's links can be reused in
-   address order. *)
-let replace_node t off off' =
-  let next = next_free t off and prev = prev_free t off in
-  set_next t off' next;
-  set_prev t off' prev;
-  if prev = null then t.free_head <- off' else set_next t prev off';
-  if next <> null then set_prev t next off';
-  if t.rover = off then t.rover <- off'
+   splitting leaves the remainder, or coalescing leaves the merged block,
+   where the hole's links can be reused in address order.  The rover is
+   the caller's to move. *)
+let replace_node t off off' = link t off' ~prev:(prev_free t off) ~next:(next_free t off)
 
-let insert_ordered t off =
-  if t.free_head = null || t.free_head > off then begin
-    set_next t off t.free_head;
-    set_prev t off null;
-    if t.free_head <> null then set_prev t t.free_head off;
-    t.free_head <- off
-  end
+(* The nearest free block below region offset [off], found by walking
+   the footers down: the predecessor in address order of a block placed
+   at [off].  [null] if every block below is allocated. *)
+let rec hole_below t off =
+  if off = 0 then null
   else begin
-    let rec find cur =
-      let next = next_free t cur in
-      if next = null || next > off then cur else find next
-    in
-    let cur = find t.free_head in
-    let next = next_free t cur in
-    set_next t off next;
-    set_prev t off cur;
-    set_next t cur off;
-    if next <> null then set_prev t next off
+    let w = Block.footer t.mem ~base:t.base off in
+    let below = off - Block.size w in
+    if Block.allocated w then hole_below t below else below
   end
 
-let mark_free t off size =
-  Block.write_tags t.mem ~base:t.base off { size; allocated = false };
-  insert_ordered t off
+(* Placement scans.  Each walks the list from [off], adds every node it
+   looks at to [t.examined] and returns the chosen hole, or [null]. *)
 
-(* Placement: find a free block whose size covers [needed].  Returns the
-   block offset and whether the allocation should be taken from its high
-   end.  [examined] counts free-list nodes looked at. *)
-let find_hole t ~request ~needed ~examined =
-  let scan_first start =
-    let rec loop off =
-      if off = null then null
-      else begin
-        incr examined;
-        if (header t off).size >= needed then off else loop (next_free t off)
-      end
-    in
-    loop start
-  in
+(* The first hole covering [needed]. *)
+let rec first_fit t off needed =
+  if off = null then null
+  else begin
+    t.examined <- t.examined + 1;
+    if Block.size (header t off) >= needed then off else first_fit t (next_free t off) needed
+  end
+
+(* First fit from the rover [start] to the list's end, then, [wrapped],
+   from the head up to [start]. *)
+let rec next_fit t off needed ~start ~wrapped =
+  if off = null then
+    if wrapped then null else next_fit t t.free_head needed ~start ~wrapped:true
+  else if wrapped && off >= start then null
+  else begin
+    t.examined <- t.examined + 1;
+    if Block.size (header t off) >= needed then off
+    else next_fit t (next_free t off) needed ~start ~wrapped
+  end
+
+(* The smallest sufficient hole, the lowest of equals. *)
+let rec best_fit t off needed ~best ~best_size =
+  if off = null then best
+  else begin
+    t.examined <- t.examined + 1;
+    let s = Block.size (header t off) in
+    if s >= needed && s < best_size then best_fit t (next_free t off) needed ~best:off ~best_size:s
+    else best_fit t (next_free t off) needed ~best ~best_size
+  end
+
+(* The largest sufficient hole, the lowest of equals. *)
+let rec worst_fit t off needed ~worst ~worst_size =
+  if off = null then worst
+  else begin
+    t.examined <- t.examined + 1;
+    let s = Block.size (header t off) in
+    if s >= needed && s > worst_size then
+      worst_fit t (next_free t off) needed ~worst:off ~worst_size:s
+    else worst_fit t (next_free t off) needed ~worst ~worst_size
+  end
+
+(* The highest-addressed sufficient hole. *)
+let rec last_fit t off needed ~last =
+  if off = null then last
+  else begin
+    t.examined <- t.examined + 1;
+    let last = if Block.size (header t off) >= needed then off else last in
+    last_fit t (next_free t off) needed ~last
+  end
+
+(* Two-ends placement takes large requests from the high end of the
+   highest sufficient hole. *)
+let take_high t request =
   match t.policy with
-  | Policy.First_fit ->
-    let off = scan_first t.free_head in
-    if off = null then None else Some (off, false)
+  | Policy.Two_ends { small_max } -> request > small_max
+  | Policy.First_fit | Policy.Next_fit | Policy.Best_fit | Policy.Worst_fit -> false
+
+(* Placement: a free block whose size covers [needed], or [null]. *)
+let find_hole t ~request ~needed =
+  match t.policy with
+  | Policy.First_fit -> first_fit t t.free_head needed
   | Policy.Next_fit ->
-    if t.free_head = null then None
+    if t.free_head = null then null
     else begin
       let start = if t.rover <> null then t.rover else t.free_head in
-      let rec loop off wrapped =
-        if off = null then if wrapped then null else loop t.free_head true
-        else if wrapped && off >= start then null
-        else begin
-          incr examined;
-          if (header t off).size >= needed then off
-          else loop (next_free t off) wrapped
-        end
-      in
-      let off = loop start false in
-      if off = null then None else Some (off, false)
+      next_fit t start needed ~start ~wrapped:false
     end
-  | Policy.Best_fit ->
-    let best = ref null and best_size = ref max_int in
-    let rec loop off =
-      if off <> null then begin
-        incr examined;
-        let s = (header t off).size in
-        if s >= needed && s < !best_size then begin
-          best := off;
-          best_size := s
-        end;
-        loop (next_free t off)
-      end
-    in
-    loop t.free_head;
-    if !best = null then None else Some (!best, false)
-  | Policy.Worst_fit ->
-    let worst = ref null and worst_size = ref 0 in
-    let rec loop off =
-      if off <> null then begin
-        incr examined;
-        let s = (header t off).size in
-        if s >= needed && s > !worst_size then begin
-          worst := off;
-          worst_size := s
-        end;
-        loop (next_free t off)
-      end
-    in
-    loop t.free_head;
-    if !worst = null then None else Some (!worst, false)
-  | Policy.Two_ends { small_max } ->
-    if request <= small_max then begin
-      let off = scan_first t.free_head in
-      if off = null then None else Some (off, false)
-    end
-    else begin
-      (* Highest-addressed sufficient hole, taken from its high end. *)
-      let last = ref null in
-      let rec loop off =
-        if off <> null then begin
-          incr examined;
-          if (header t off).size >= needed then last := off;
-          loop (next_free t off)
-        end
-      in
-      loop t.free_head;
-      if !last = null then None else Some (!last, true)
-    end
+  | Policy.Best_fit -> best_fit t t.free_head needed ~best:null ~best_size:max_int
+  | Policy.Worst_fit -> worst_fit t t.free_head needed ~worst:null ~worst_size:0
+  | Policy.Two_ends _ ->
+    if take_high t request then last_fit t t.free_head needed ~last:null
+    else first_fit t t.free_head needed
+
+(* Mark the [size] words at [off] allocated and account for them;
+   [rover_after] is where a next-fit rove resumes. *)
+let grant t off size ~rover_after =
+  write_tags t off ~size ~allocated:true;
+  (match t.policy with
+   | Policy.Next_fit ->
+     (* Resume the rove just past the hole we carved. *)
+     t.rover <- (if rover_after <> null then rover_after else t.free_head)
+   | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
+  t.live_words <- t.live_words + size - Block.overhead;
+  t.live_blocks <- t.live_blocks + 1;
+  if t.tracing then emit t (Alloc { addr = t.base + off + 1; size = size - Block.overhead });
+  Some (t.base + off + 1)
 
 let alloc t request =
   assert (request >= 1);
   t.ops <- t.ops + 1;
   let needed = max Block.min_block (request + Block.overhead) in
-  let examined = ref 0 in
-  let result =
-    match find_hole t ~request ~needed ~examined with
-    | None ->
-      t.failures <- t.failures + 1;
-      None
-    | Some (off, take_high) ->
-      let size = (header t off).size in
-      let remainder = size - needed in
+  t.examined <- 0;
+  let off = find_hole t ~request ~needed in
+  Metrics.Stats.add t.searches (float_of_int t.examined);
+  if off = null then begin
+    t.failures <- t.failures + 1;
+    None
+  end
+  else begin
+    let size = Block.size (header t off) in
+    let remainder = size - needed in
+    if remainder < Block.min_block then begin
       let succ = next_free t off in
-      let granted_off, granted_size, rover_after =
-        if remainder >= Block.min_block then begin
-          if take_high then begin
-            (* The hole shrinks in place; its links and position are
-               unchanged.  The allocation sits at its high end. *)
-            Block.write_tags t.mem ~base:t.base off
-              { size = remainder; allocated = false };
-            (off + remainder, needed, off)
-          end
-          else begin
-            let rem_off = off + needed in
-            Block.write_tags t.mem ~base:t.base rem_off
-              { size = remainder; allocated = false };
-            replace_node t off rem_off;
-            (off, needed, rem_off)
-          end
-        end
-        else begin
-          unlink t off;
-          (off, size, succ)
-        end
-      in
-      Block.write_tags t.mem ~base:t.base granted_off
-        { size = granted_size; allocated = true };
-      (match t.policy with
-       | Policy.Next_fit ->
-         (* Resume the rove just past the hole we carved. *)
-         t.rover <- (if rover_after <> null then rover_after else t.free_head)
-       | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
-      t.live_words <- t.live_words + granted_size - Block.overhead;
-      t.live_blocks <- t.live_blocks + 1;
-      if t.tracing then begin
-        if remainder >= Block.min_block then
-          emit t
-            (Split { addr = t.base + off; size = granted_size; remainder });
-        emit t
-          (Alloc
-             { addr = t.base + granted_off + 1; size = granted_size - Block.overhead })
-      end;
-      Some (t.base + granted_off + 1)
-  in
-  Metrics.Stats.add t.searches (float_of_int !examined);
-  result
+      unlink t off;
+      grant t off size ~rover_after:succ
+    end
+    else begin
+      if t.tracing then emit t (Split { addr = t.base + off; size = needed; remainder });
+      if take_high t request then begin
+        (* The hole shrinks in place; its links and position are
+           unchanged.  The allocation sits at its high end. *)
+        write_tags t off ~size:remainder ~allocated:false;
+        grant t (off + remainder) needed ~rover_after:off
+      end
+      else begin
+        let rem_off = off + needed in
+        write_tags t rem_off ~size:remainder ~allocated:false;
+        replace_node t off rem_off;
+        grant t off needed ~rover_after:rem_off
+      end
+    end
+  end
 
-let block_of_payload t addr =
+(* Size of the live block whose payload starts at [addr]. *)
+let live_size t addr =
   let off = addr - t.base - 1 in
   if off < 0 || off >= t.len then invalid_arg "Allocator: address outside region";
-  let tag = header t off in
-  if not tag.Block.allocated then invalid_arg "Allocator: not a live allocation";
-  if tag.Block.size < Block.min_block || tag.Block.size > t.len - off then
-    invalid_arg "Allocator: corrupt block";
-  (off, tag.Block.size)
+  let w = header t off in
+  if not (Block.allocated w) then invalid_arg "Allocator: not a live allocation";
+  let size = Block.size w in
+  if size < Block.min_block || size > t.len - off then invalid_arg "Allocator: corrupt block";
+  size
 
-let payload_size t addr =
-  let _, size = block_of_payload t addr in
-  size - Block.overhead
+let payload_size t addr = live_size t addr - Block.overhead
 
+(* The merged block takes a free neighbour's list slot: the lower
+   neighbour grows in place, or the block replaces its upper neighbour.
+   With neither free it is spliced in after the nearest hole below.  A
+   rover on an absorbed neighbour moves to the merged block's successor. *)
 let free t addr =
-  let off, size = block_of_payload t addr in
+  let size = live_size t addr in
+  let off = addr - t.base - 1 in
   t.ops <- t.ops + 1;
   t.live_words <- t.live_words - (size - Block.overhead);
   t.live_blocks <- t.live_blocks - 1;
   if t.tracing then emit t (Free { addr; size = size - Block.overhead });
-  let new_off = ref off and new_size = ref size in
   let after = off + size in
-  if after < t.len then begin
-    let next = header t after in
-    if not next.Block.allocated then begin
-      unlink t after;
-      new_size := !new_size + next.Block.size
+  let upper_size =
+    if after >= t.len then 0
+    else begin
+      let w = header t after in
+      if Block.allocated w then 0 else Block.size w
     end
-  end;
-  if off > 0 then begin
-    let prev = Block.read_footer t.mem ~base:t.base off in
-    if not prev.Block.allocated then begin
-      let prev_off = off - prev.Block.size in
-      unlink t prev_off;
-      new_off := prev_off;
-      new_size := !new_size + prev.Block.size
+  in
+  let lower =
+    if off = 0 then null
+    else begin
+      let w = Block.footer t.mem ~base:t.base off in
+      if Block.allocated w then null else off - Block.size w
     end
+  in
+  let merged_off = if lower = null then off else lower in
+  let merged_size = after + upper_size - merged_off in
+  if t.tracing && merged_size > size then
+    emit t (Coalesce { addr = t.base + merged_off; size = merged_size });
+  if lower <> null then begin
+    if upper_size > 0 then unlink t after;
+    if t.rover = lower then t.rover <- next_free t lower
+  end
+  else if upper_size > 0 then begin
+    if t.rover = after then t.rover <- next_free t after;
+    replace_node t after off
+  end
+  else begin
+    let prev = hole_below t off in
+    link t off ~prev ~next:(if prev = null then t.free_head else next_free t prev)
   end;
-  if t.tracing && !new_size > size then
-    emit t (Coalesce { addr = t.base + !new_off; size = !new_size });
-  mark_free t !new_off !new_size
+  write_tags t merged_off ~size:merged_size ~allocated:false
 
 let live_words t = t.live_words
 
@@ -303,10 +297,10 @@ let walk t =
   let rec loop off acc =
     if off >= t.len then List.rev acc
     else begin
-      let tag = header t off in
-      assert (tag.Block.size >= 2);
-      loop (off + tag.Block.size)
-        ({ off; size = tag.Block.size; allocated = tag.Block.allocated } :: acc)
+      let w = header t off in
+      let size = Block.size w in
+      assert (size >= 2);
+      loop (off + size) ({ off; size; allocated = Block.allocated w } :: acc)
     end
   in
   loop 0 []
@@ -341,7 +335,7 @@ let compact t channel ~relocate =
   let dst = List.fold_left place 0 blocks in
   let remainder = t.len - dst in
   if remainder >= Block.min_block then begin
-    Block.write_tags t.mem ~base:t.base dst { size = remainder; allocated = false };
+    write_tags t dst ~size:remainder ~allocated:false;
     set_next t dst null;
     set_prev t dst null;
     t.free_head <- dst
@@ -351,14 +345,13 @@ let compact t channel ~relocate =
     let rec last_live_end off acc =
       if off >= dst then acc
       else
-        let tag = header t off in
-        last_live_end (off + tag.Block.size) (off, tag.Block.size)
+        let size = Block.size (header t off) in
+        last_live_end (off + size) (off, size)
     in
     match last_live_end 0 (-1, 0) with
     | -1, _ -> assert false (* dst > 0 implies at least one live block *)
     | last_off, last_size ->
-      Block.write_tags t.mem ~base:t.base last_off
-        { size = last_size + remainder; allocated = true };
+      write_tags t last_off ~size:(last_size + remainder) ~allocated:true;
       t.live_words <- t.live_words + remainder
   end
 
@@ -371,8 +364,7 @@ let validate t =
   if total <> t.len then fail "validate: blocks cover %d of %d words" total t.len;
   List.iter
     (fun b ->
-      let footer = Block.read_footer t.mem ~base:t.base (b.off + b.size) in
-      if footer.Block.size <> b.size || footer.Block.allocated <> b.allocated then
+      if Block.footer t.mem ~base:t.base (b.off + b.size) <> header t b.off then
         fail "validate: footer mismatch at %d" b.off;
       if b.size < Block.min_block then fail "validate: runt block at %d" b.off)
     blocks;
@@ -391,7 +383,7 @@ let validate t =
       else begin
         if prev_free t off <> prev then fail "validate: bad prev link at %d" off;
         if prev <> null && off <= prev then fail "validate: free list not ascending at %d" off;
-        if (header t off).Block.allocated then fail "validate: allocated block %d on free list" off;
+        if Block.allocated (header t off) then fail "validate: allocated block %d on free list" off;
         loop (next_free t off) off (off :: acc)
       end
     in

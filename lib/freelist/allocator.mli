@@ -55,7 +55,10 @@ val alloc : t -> int -> int option
 
 val free : t -> int -> unit
 (** Release a payload address previously returned by {!alloc}.  Raises
-    [Invalid_argument] if the address is not a live allocation. *)
+    [Invalid_argument] if the address is not a live allocation.  The
+    merged block's place on the free list comes from the boundary tags
+    (a free neighbour's slot, or the nearest hole below), so [free]
+    never searches the list. *)
 
 val payload_size : t -> int -> int
 (** Usable words of the live allocation at the given payload address

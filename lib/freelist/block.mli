@@ -23,16 +23,28 @@ val overhead : int
 val null : int
 (** -1, the nil link. *)
 
-type tag = { size : int; allocated : bool }
+(** {2 Tag words}
 
-val read_header : Memstore.Physical.t -> base:int -> int -> tag
+    A tag word is read and written as a plain [int]; these decode it. *)
 
-val read_footer : Memstore.Physical.t -> base:int -> int -> tag
-(** [read_footer mem ~base off] reads the tag of the block {e ending}
+val size : int -> int
+(** Block size (total words) recorded in a tag word. *)
+
+val allocated : int -> bool
+(** The allocated bit of a tag word. *)
+
+val header : Memstore.Physical.t -> base:int -> int -> int
+(** The header tag word of the block at region offset [off]. *)
+
+val footer : Memstore.Physical.t -> base:int -> int -> int
+(** [footer mem ~base off] reads the tag word of the block {e ending}
     just before region offset [off] (i.e. the word at [off - 1]). *)
 
-val write_tags : Memstore.Physical.t -> base:int -> int -> tag -> unit
+val write_tags :
+  Memstore.Physical.t -> base:int -> int -> size:int -> allocated:bool -> unit
 (** Write both header and footer of the block at region offset. *)
+
+(** {2 Free-list links} *)
 
 val read_next : Memstore.Physical.t -> base:int -> int -> int
 

@@ -37,6 +37,26 @@ let write t address v =
   t.writes <- t.writes + 1;
   Bytes.set_int64_le t.bytes (address * 8) v
 
+(* Little-endian word access without [Bytes]' own bounds check:
+   [check] has already bounded the address. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let read_int t address =
+  check t address;
+  t.reads <- t.reads + 1;
+  let v = unsafe_get64 t.bytes (address * 8) in
+  Int64.to_int (if Sys.big_endian then swap64 v else v)
+
+let write_int t address v =
+  check t address;
+  t.writes <- t.writes + 1;
+  let v = Int64.of_int v in
+  unsafe_set64 t.bytes (address * 8) (if Sys.big_endian then swap64 v else v)
+
 let blit ~src ~src_off ~dst ~dst_off ~len =
   check_range src src_off len;
   check_range dst dst_off len;

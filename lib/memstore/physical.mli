@@ -23,6 +23,14 @@ val read : t -> int -> int64
 
 val write : t -> int -> int64 -> unit
 
+val read_int : t -> int -> int
+(** [read] of a word that holds an OCaml [int], returned unboxed: the
+    same bounds check and read count, without the [int64] box.  Exact
+    for every word written by {!write_int}. *)
+
+val write_int : t -> int -> int -> unit
+(** [write] of an OCaml [int], sign-extended to the 64-bit word. *)
+
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy [len] words.  Handles overlapping ranges within one store
     correctly (like [Bytes.blit]). *)

@@ -266,6 +266,119 @@ let allocator_fill_then_drain policy =
       Freelist.Allocator.validate a;
       Freelist.Allocator.free_block_sizes a = [ words ])
 
+(* --- differential oracle: the library allocator against Ref_allocator --- *)
+
+(* One step of a random stream: allocate [size] words, free the live
+   object at index [pick mod live] (not the most recent one, so frees
+   land beside allocated and free neighbours alike), or compact. *)
+type oracle_op = Alloc of int | Free of int | Compact
+
+type oracle_case = { policy : Freelist.Policy.t; words : int; ops : oracle_op list }
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let* policy =
+    oneof
+      [
+        oneofl Freelist.Policy.[ First_fit; Next_fit; Best_fit; Worst_fit ];
+        map (fun small_max -> Freelist.Policy.Two_ends { small_max }) (int_range 1 64);
+      ]
+  in
+  (* Store sizes from 64 to 16K words, about log-uniform. *)
+  let* octave = map (fun e -> 1 lsl e) (int_range 6 13) in
+  let* words = map (fun extra -> octave + extra) (int_bound octave) in
+  let* n = int_range 1 120 in
+  let op =
+    frequency
+      [
+        (6, map (fun s -> Alloc s) (frequency [ (4, int_range 1 24); (1, int_range 1 (words / 4)) ]));
+        (5, map (fun i -> Free i) (int_bound 1_000_000));
+        (1, return Compact);
+      ]
+  in
+  let+ ops = list_repeat n op in
+  { policy; words; ops }
+
+let print_oracle_case c =
+  Printf.sprintf "%s words=%d ops=[%s]" (Freelist.Policy.to_string c.policy) c.words
+    (String.concat ";"
+       (List.map
+          (function Alloc s -> Printf.sprintf "a%d" s | Free i -> Printf.sprintf "f%d" i | Compact -> "c")
+          c.ops))
+
+let allocator_matches_reference =
+  QCheck.Test.make ~name:"allocator matches the reference allocator word for word" ~count:300
+    (QCheck.make ~print:print_oracle_case oracle_case_gen)
+    (fun { policy; words; ops } ->
+      let mem = Memstore.Physical.create ~name:"core" ~words in
+      let ref_mem = Memstore.Physical.create ~name:"core" ~words in
+      (* Both event streams, newest first. *)
+      let events = ref [] and ref_events = ref [] in
+      let a =
+        Freelist.Allocator.create mem ~base:0 ~len:words ~policy
+          ~obs:(Obs.Sink.collect (fun e -> events := e :: !events))
+      in
+      let r =
+        Ref_allocator.create ref_mem ~base:0 ~len:words ~policy
+          ~obs:(Obs.Sink.collect (fun e -> ref_events := e :: !ref_events))
+      in
+      let chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
+      let ref_chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
+      (* Payload addresses of live objects, in allocation order. *)
+      let live = ref [||] in
+      let agree what ok = if not ok then QCheck.Test.fail_reportf "%s diverges" what in
+      let step i op =
+        (match op with
+         | Alloc size ->
+           let got = Freelist.Allocator.alloc a size in
+           agree "alloc address" (got = Ref_allocator.alloc r size);
+           Option.iter
+             (fun p ->
+               live := Array.append !live [| p |];
+               (* A pattern in the payload's end words, which become stale
+                  words of a later hole. *)
+               List.iter
+                 (fun q ->
+                   List.iter
+                     (fun m -> Memstore.Physical.write m q (Int64.of_int (i * 7919)))
+                     [ mem; ref_mem ])
+                 [ p; p + min 2 (size - 1); p + size - 1 ])
+             got
+         | Free pick ->
+           let n = Array.length !live in
+           if n > 0 then begin
+             let k = pick mod n in
+             let p = !live.(k) in
+             Freelist.Allocator.free a p;
+             Ref_allocator.free r p;
+             live := Array.append (Array.sub !live 0 k) (Array.sub !live (k + 1) (n - k - 1))
+           end
+         | Compact ->
+           let moves = ref [] and ref_moves = ref [] in
+           Freelist.Allocator.compact a chan ~relocate:(fun o n' -> moves := (o, n') :: !moves);
+           Ref_allocator.compact r ref_chan ~relocate:(fun o n' ->
+               ref_moves := (o, n') :: !ref_moves);
+           agree "compaction moves" (!moves = !ref_moves);
+           live :=
+             Array.map (fun p -> Option.value (List.assoc_opt p !moves) ~default:p) !live);
+        Freelist.Allocator.validate a;
+        let s = Freelist.Allocator.search_stats a and rs = Ref_allocator.search_stats r in
+        agree "search count" (Metrics.Stats.count s = Metrics.Stats.count rs);
+        agree "search total" (Float.equal (Metrics.Stats.total s) (Metrics.Stats.total rs));
+        agree "search max" (Float.equal (Metrics.Stats.max s) (Metrics.Stats.max rs));
+        agree "free block sizes"
+          (Freelist.Allocator.free_block_sizes a = Ref_allocator.free_block_sizes r);
+        agree "live words" (Freelist.Allocator.live_words a = Ref_allocator.live_words r);
+        agree "failures" (Freelist.Allocator.failures a = Ref_allocator.failures r);
+        agree "events" (!events = !ref_events);
+        for w = 0 to words - 1 do
+          if Memstore.Physical.read mem w <> Memstore.Physical.read ref_mem w then
+            QCheck.Test.fail_reportf "store word %d diverges after op %d" w i
+        done
+      in
+      List.iteri step ops;
+      true)
+
 (* --- buddy --- *)
 
 let check_buddy_valid b =
@@ -389,6 +502,7 @@ let () =
             allocator_fill_then_drain (Freelist.Policy.Two_ends { small_max = 20 });
             buddy_random_ops;
           ] );
+      ("oracle", [ QCheck_alcotest.to_alcotest allocator_matches_reference ]);
       ( "buddy",
         [
           Alcotest.test_case "basic" `Quick test_buddy_basic;

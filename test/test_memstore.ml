@@ -51,6 +51,33 @@ let test_physical_fill_and_counters () =
   check_bool "write counter counts fill" true (Memstore.Physical.writes mem >= 4);
   check_bool "read counter" true (Memstore.Physical.reads mem >= 2)
 
+let test_physical_int_words () =
+  let mem = Memstore.Physical.create ~name:"core" ~words:8 in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Memstore.Physical.Bound_violation _ -> true
+  in
+  check_bool "read_int -1" true (raises (fun () -> Memstore.Physical.read_int mem (-1)));
+  check_bool "read_int 8" true (raises (fun () -> Memstore.Physical.read_int mem 8));
+  check_bool "write_int -1" true (raises (fun () -> Memstore.Physical.write_int mem (-1) 0));
+  check_bool "write_int 8" true (raises (fun () -> Memstore.Physical.write_int mem 8 0));
+  check_int "rejected accesses count nothing" 0
+    (Memstore.Physical.reads mem + Memstore.Physical.writes mem);
+  (* The int accessors count exactly like the int64 ones. *)
+  Memstore.Physical.write_int mem 3 Freelist.Block.null;
+  check_int "one write" 1 (Memstore.Physical.writes mem);
+  check_int "null round-trips" Freelist.Block.null (Memstore.Physical.read_int mem 3);
+  check_int "one read" 1 (Memstore.Physical.reads mem);
+  check_i64 "as the int64 -1" (-1L) (Memstore.Physical.read mem 3);
+  check_int "two reads" 2 (Memstore.Physical.reads mem);
+  Memstore.Physical.write mem 4 1234L;
+  check_int "read_int of an int64 write" 1234 (Memstore.Physical.read_int mem 4);
+  Memstore.Physical.write_int mem 5 max_int;
+  check_int "max_int round-trips" max_int (Memstore.Physical.read_int mem 5);
+  check_int "writes" 3 (Memstore.Physical.writes mem);
+  check_int "reads" 4 (Memstore.Physical.reads mem)
+
 (* --- Device --- *)
 
 let test_device_costs () =
@@ -335,6 +362,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_physical_bounds;
           Alcotest.test_case "blit overlap" `Quick test_physical_blit_overlap;
           Alcotest.test_case "fill+counters" `Quick test_physical_fill_and_counters;
+          Alcotest.test_case "int words" `Quick test_physical_int_words;
           QCheck_alcotest.to_alcotest physical_blit_roundtrip;
         ] );
       ( "device",

@@ -30,6 +30,43 @@ let stats_matches_direct =
       let direct = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       abs_float (Metrics.Stats.mean s -. direct) < 1e-6 *. (1. +. abs_float direct))
 
+(* The running statistics with an integer sample count, folded over a
+   list: [Stats] must agree with it bit for bit. *)
+type ref_stats = { n : int; mu : float; m2 : float; lo : float; hi : float; sum : float }
+
+let ref_fold xs =
+  List.fold_left
+    (fun r x ->
+      let n = r.n + 1 in
+      let delta = x -. r.mu in
+      let mu = r.mu +. (delta /. float_of_int n) in
+      {
+        n;
+        mu;
+        m2 = r.m2 +. (delta *. (x -. mu));
+        lo = (if x < r.lo then x else r.lo);
+        hi = (if x > r.hi then x else r.hi);
+        sum = r.sum +. x;
+      })
+    { n = 0; mu = 0.; m2 = 0.; lo = infinity; hi = neg_infinity; sum = 0. }
+    xs
+
+let test_stats_matches_reference_fold () =
+  let rng = Sim.Rng.create 11 in
+  let xs = List.init 10_000 (fun _ -> Sim.Rng.float rng 2000. -. 1000.) in
+  let s = Metrics.Stats.create () in
+  List.iter (Metrics.Stats.add s) xs;
+  let r = ref_fold xs in
+  let exact what expected got =
+    check_bool (Printf.sprintf "%s %h = %h" what expected got) true (Float.equal expected got)
+  in
+  check_int "count" r.n (Metrics.Stats.count s);
+  exact "mean" r.mu (Metrics.Stats.mean s);
+  exact "variance" (r.m2 /. float_of_int r.n) (Metrics.Stats.variance s);
+  exact "min" r.lo (Metrics.Stats.min s);
+  exact "max" r.hi (Metrics.Stats.max s);
+  exact "total" r.sum (Metrics.Stats.total s)
+
 (* --- Histogram --- *)
 
 let test_histogram_linear () =
@@ -228,6 +265,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "empty" `Quick test_stats_empty;
           QCheck_alcotest.to_alcotest stats_matches_direct;
+          Alcotest.test_case "matches reference fold" `Quick test_stats_matches_reference_fold;
         ] );
       ( "histogram",
         [
