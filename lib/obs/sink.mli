@@ -52,7 +52,7 @@ val segment : ?seed:int -> ?config:string -> run:int -> offset:int -> t -> t
 val sample : every:int -> (Event.t -> unit) -> t
 (** Invoke the callback on every [every]-th event ([every >= 1]) — the
     hook for mid-run probes (resident-set size, fragmentation) feeding
-    {!Series} / {!Metrics.Timeline}.  {!Event.Run_start} segment
+    a {!Series}.  {!Event.Run_start} segment
     boundaries always reach the callback and do not advance the
     sampling counter, so a sampled stream remains scopeable by {!Check}
     and the kept subsequence of ordinary events does not depend on how

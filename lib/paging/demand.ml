@@ -17,6 +17,7 @@ type t = {
   recovery : recovery;
   page_table : Page_table.t;
   frame_table : Frame_table.t;
+  slots : Resident_slots.t;  (* resident pages, ascending *)
   ready_at : int array;  (* per page: completion time of an in-flight fetch *)
   space_time : Metrics.Space_time.t;
   timeline : Metrics.Timeline.t;
@@ -44,6 +45,7 @@ let create ?(obs = Obs.Sink.null) ?device ?(recovery = Mirror) cfg =
     recovery;
     page_table = Page_table.create ~pages:cfg.pages;
     frame_table = Frame_table.create ~frames:cfg.frames;
+    slots = Resident_slots.create ~capacity:cfg.frames;
     ready_at = Array.make cfg.pages 0;
     space_time = Metrics.Space_time.create ();
     timeline = Metrics.Timeline.create ();
@@ -90,12 +92,13 @@ let timed t state f =
   Metrics.Timeline.record t.timeline ~at:before ~dt ~words state;
   result
 
+(* The unlocked resident pages, asked for only when every frame is
+   taken. *)
 let candidates t =
-  let unlocked =
-    List.filter (fun p -> not (Page_table.locked t.page_table ~page:p))
-      (Page_table.resident t.page_table)
-  in
-  Array.of_list unlocked
+  if Page_table.locked_count t.page_table = 0 then Resident_slots.slots t.slots
+  else
+    Resident_slots.filter t.slots ~keep:(fun page ->
+        not (Page_table.locked t.page_table ~page))
 
 let evict_page t page =
   let frame =
@@ -130,6 +133,7 @@ let evict_page t page =
     if t.tracing then emit t (Writeback { page })
   end;
   Page_table.evict t.page_table ~page;
+  Resident_slots.remove t.slots page;
   Frame_table.release t.frame_table ~frame;
   t.cfg.policy.Replacement.on_evict ~page;
   if t.tracing then emit t (Eviction { page })
@@ -153,6 +157,7 @@ let free_a_frame t =
 let install t ~page ~frame ~finish =
   Frame_table.assign t.frame_table ~frame ~page;
   Page_table.install t.page_table ~page ~frame;
+  Resident_slots.add t.slots page;
   t.ready_at.(page) <- finish;
   t.cfg.policy.Replacement.on_load ~page
 
@@ -372,7 +377,8 @@ let lock t ~page =
      await t page
    | Some _ -> ());
   Page_table.lock t.page_table ~page;
-  if Array.length (candidates t) = 0 && Frame_table.free_count t.frame_table = 0 then begin
+  (* Locked pages are resident, so this is every frame taken and locked. *)
+  if Page_table.locked_count t.page_table = t.cfg.frames then begin
     Page_table.unlock t.page_table ~page;
     invalid_arg "Demand.lock: would leave no evictable frame"
   end

@@ -30,20 +30,14 @@ let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
       end;
       (* Full below [frames] only when every page of the trace is
          resident, and then no reference can fault. *)
-      if Resident_slots.is_full slots then begin
-        let victim =
-          policy.Replacement.choose_victim ~candidates:(Resident_slots.slots slots)
-        in
+      let victim = Replacement.admit policy slots ~page in
+      if victim >= 0 then begin
         assert (resident.(victim));
         resident.(victim) <- false;
-        Resident_slots.remove slots victim;
-        policy.Replacement.on_evict ~page:victim;
         incr evictions;
         if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
       end;
-      resident.(page) <- true;
-      Resident_slots.add slots page;
-      policy.Replacement.on_load ~page
+      resident.(page) <- true
     end
   done;
   { refs = Array.length trace; faults = !faults; cold = !cold; evictions = !evictions }

@@ -6,7 +6,7 @@ type entry = {
   mutable locked : bool;
 }
 
-type t = { entries : entry array; mutable resident_count : int }
+type t = { entries : entry array; mutable resident_count : int; mutable locked_count : int }
 
 let create ~pages =
   assert (pages > 0);
@@ -15,6 +15,7 @@ let create ~pages =
       Array.init pages (fun _ ->
           { frame = -1; present = false; used = false; modified = false; locked = false });
     resident_count = 0;
+    locked_count = 0;
   }
 
 let pages t = Array.length t.entries
@@ -58,17 +59,19 @@ let used t ~page = (entry t page).used
 
 let modified t ~page = (entry t page).modified
 
-let lock t ~page = (entry t page).locked <- true
+let set_locked t ~page locked =
+  let e = entry t page in
+  if e.locked <> locked then begin
+    e.locked <- locked;
+    t.locked_count <- t.locked_count + if locked then 1 else -1
+  end
 
-let unlock t ~page = (entry t page).locked <- false
+let lock t ~page = set_locked t ~page true
+
+let unlock t ~page = set_locked t ~page false
 
 let locked t ~page = (entry t page).locked
 
-let resident t =
-  let acc = ref [] in
-  for page = Array.length t.entries - 1 downto 0 do
-    if t.entries.(page).present then acc := page :: !acc
-  done;
-  !acc
-
 let resident_count t = t.resident_count
+
+let locked_count t = t.locked_count

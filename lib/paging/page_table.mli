@@ -43,7 +43,8 @@ val unlock : t -> page:int -> unit
 
 val locked : t -> page:int -> bool
 
-val resident : t -> int list
-(** Resident page numbers, ascending. *)
-
 val resident_count : t -> int
+
+val locked_count : t -> int
+(** Pages locked now: a {!lock} or {!unlock} that changes nothing leaves
+    the count alone. *)

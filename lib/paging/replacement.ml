@@ -6,6 +6,20 @@ type t = {
   choose_victim : candidates:int array -> int;
 }
 
+let admit policy slots ~page =
+  let victim =
+    if Resident_slots.is_full slots then begin
+      let victim = policy.choose_victim ~candidates:(Resident_slots.slots slots) in
+      Resident_slots.remove slots victim;
+      policy.on_evict ~page:victim;
+      victim
+    end
+    else -1
+  in
+  Resident_slots.add slots page;
+  policy.on_load ~page;
+  victim
+
 let no_ref ~page:_ ~write:_ = ()
 
 let no_page ~page:_ = ()

@@ -39,6 +39,14 @@ type t = {
   choose_victim : candidates:int array -> int;
 }
 
+val admit : t -> Resident_slots.t -> page:int -> int
+(** The fault sequence of a fixed-frame engine whose candidates are its
+    whole resident set: load the non-resident [page] into [slots],
+    first evicting a victim if every frame is full ([choose_victim] on
+    the slots array, then remove and [on_evict]), then add and
+    [on_load].  Returns the victim, or [-1] when a frame was free.
+    Allocates nothing.  The set's capacity must be positive. *)
+
 val fifo : unit -> t
 (** Evict the page resident longest: the first entry of the load-order
     queue that is a candidate.  Skipped entries keep their place,

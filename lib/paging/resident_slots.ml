@@ -10,6 +10,25 @@ let is_full t = t.size = Array.length t.slots
 
 let slots t = t.slots
 
+let filter t ~keep =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if keep t.slots.(i) then incr n
+  done;
+  if !n = Array.length t.slots then t.slots
+  else begin
+    let kept = Array.make !n 0 in
+    n := 0;
+    for i = 0 to t.size - 1 do
+      let k = t.slots.(i) in
+      if keep k then begin
+        kept.(!n) <- k;
+        incr n
+      end
+    done;
+    kept
+  end
+
 (* Index of the first of [a.(0 .. len - 1)] that is >= [k], or [len]. *)
 let search a ~len k =
   let lo = ref 0 and hi = ref len in

@@ -6,8 +6,11 @@
     every frame is full, and then the backing array holds exactly the
     resident keys in ascending order, so it is passed to
     {!Replacement.t.choose_victim} as the candidate array with nothing
-    built or sorted per eviction.  Used by {!Fault_sim} and by the
-    two-level segmented engine. *)
+    built or sorted per eviction.  It is the resident set of every
+    engine that chooses victims through {!Replacement}: {!Fault_sim},
+    {!Demand}, {!Hierarchy} (one set per level), the multiprogrammed
+    pool of [Dsas.Multiprog], and the segmented engines
+    [Segmentation.Two_level] and [Segmentation.Dual_pager]. *)
 
 type t
 
@@ -33,6 +36,12 @@ val slots : t -> int array
 (** The backing array, borrowed: its first [size t] elements are the
     members in ascending order, and when {!is_full} that is all of it.
     Callers must not mutate it. *)
+
+val filter : t -> keep:(int -> bool) -> int array
+(** The members satisfying [keep], ascending: the backing array itself,
+    lent as by {!slots}, when the set is full and every member is kept,
+    else a fresh array.  How an engine that pins some resident pages
+    (locked, or still being fetched) builds its candidates. *)
 
 val ascending_mem : int array -> int -> bool
 (** Membership in an array sorted ascending, by binary search: how a

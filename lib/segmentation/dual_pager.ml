@@ -59,23 +59,14 @@ let add_segment t ~length =
   t.segments.(id) <- { length };
   id
 
-(* The same sequence as [Two_level.touch].  A pool of no frames still
-   counts the fault but holds nothing. *)
+(* A pool of no frames still counts the fault but holds nothing. *)
 let pool_touch pool key ~write =
   pool.lru.Paging.Replacement.on_reference ~page:key ~write;
   if not (Paging.Resident_slots.mem pool.resident key) then begin
     pool.faults <- pool.faults + 1;
     if pool.capacity > 0 then begin
-      if Paging.Resident_slots.is_full pool.resident then begin
-        let victim =
-          pool.lru.Paging.Replacement.choose_victim
-            ~candidates:(Paging.Resident_slots.slots pool.resident)
-        in
-        Paging.Resident_slots.remove pool.resident victim;
-        pool.lru.Paging.Replacement.on_evict ~page:victim
-      end;
-      Paging.Resident_slots.add pool.resident key;
-      pool.lru.Paging.Replacement.on_load ~page:key
+      let (_ : int) = Paging.Replacement.admit pool.lru pool.resident ~page:key in
+      ()
     end
   end
 

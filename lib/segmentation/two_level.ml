@@ -76,19 +76,10 @@ let touch t ~segment ~offset ~write =
     t.map_accesses <- t.map_accesses + 2;
     if not (Paging.Resident_slots.mem t.resident k) then begin
       t.faults <- t.faults + 1;
-      if Paging.Resident_slots.is_full t.resident then begin
-        let victim =
-          t.cfg.policy.Paging.Replacement.choose_victim
-            ~candidates:(Paging.Resident_slots.slots t.resident)
-        in
-        Paging.Resident_slots.remove t.resident victim;
-        t.cfg.policy.Paging.Replacement.on_evict ~page:victim;
-        match t.cfg.tlb with
-        | Some tlb -> Paging.Tlb.invalidate tlb ~key:victim
-        | None -> ()
-      end;
-      Paging.Resident_slots.add t.resident k;
-      t.cfg.policy.Paging.Replacement.on_load ~page:k
+      let victim = Paging.Replacement.admit t.cfg.policy t.resident ~page:k in
+      match t.cfg.tlb with
+      | Some tlb when victim >= 0 -> Paging.Tlb.invalidate tlb ~key:victim
+      | Some _ | None -> ()
     end;
     match t.cfg.tlb with
     | Some tlb -> Paging.Tlb.insert tlb ~key:k ~value:0

@@ -180,6 +180,130 @@ let test_multiprog_shared_pool_pressure () =
   in
   check_bool "more jobs, more faults under fixed store" true (faults 6 > faults 1)
 
+(* --- Multiprog against its oracle --- *)
+
+type multiprog_case = {
+  spec : Paging.Spec.t;
+  seed : int;
+  jobs : int;
+  pages_per_job : int;
+  refs_per_job : int;
+  frames : int;
+  quantum_refs : int;
+  max_restarts : int;
+  fetch_us : int;
+  device : (string * Device.Sched.t * bool) option;  (* geometry, sched, failing reads *)
+  controller : int option;  (* decision window, us *)
+}
+
+let print_multiprog_case c =
+  Printf.sprintf
+    "%s seed=%d jobs=%d pages/job=%d refs/job=%d frames=%d quantum=%d restarts=%d \
+     fetch=%d device=%s controller=%s"
+    (Paging.Spec.to_string c.spec) c.seed c.jobs c.pages_per_job c.refs_per_job c.frames
+    c.quantum_refs c.max_restarts c.fetch_us
+    (match c.device with
+     | None -> "none"
+     | Some (g, sched, failing) ->
+       Printf.sprintf "%s/%s%s" g (Device.Sched.name sched) (if failing then "+fail" else ""))
+    (match c.controller with None -> "off" | Some p -> string_of_int p)
+
+(* Frames below the total page count, so pages are evicted, and often
+   below the job count, so faulting jobs stall on a pool of in-flight
+   pages. *)
+let multiprog_case_gen =
+  let open QCheck.Gen in
+  let* spec = oneofl Paging.Spec.all_practical in
+  let* seed = int_bound 1_000_000 in
+  let* jobs = int_range 1 6 in
+  let* pages_per_job = int_range 2 12 in
+  let* refs_per_job = int_range 1 150 in
+  let* frames =
+    frequency
+      [ (1, int_range 1 (max 1 (jobs - 1))); (3, int_range 1 ((jobs * pages_per_job) - 1)) ]
+  in
+  let* quantum_refs = int_range 1 60 in
+  let* max_restarts = int_range 0 3 in
+  let* fetch_us = int_range 0 5_000 in
+  let* device =
+    frequency
+      [ (1, return None);
+        ( 3,
+          map3
+            (fun g sched failing -> Some (g, sched, failing))
+            (oneofl [ "fixed"; "drum"; "disk" ])
+            (oneofl [ Device.Sched.Fifo; Device.Sched.Satf ])
+            (frequency [ (2, return false); (1, return true) ]) ) ]
+  in
+  let+ controller = option (int_range 500 20_000) in
+  { spec; seed; jobs; pages_per_job; refs_per_job; frames; quantum_refs; max_restarts;
+    fetch_us; device; controller }
+
+let multiprog_oracle_property =
+  QCheck.Test.make ~name:"multiprog on resident slots matches the Hashtbl oracle" ~count:300
+    (QCheck.make ~print:print_multiprog_case multiprog_case_gen)
+    (fun c ->
+      let specs =
+        Workload.Job.mix (Sim.Rng.create c.seed) ~jobs:c.jobs ~refs_per_job:c.refs_per_job
+          ~pages_per_job:c.pages_per_job ~locality:0.8 ~compute_us_per_ref:40
+      in
+      (* Fresh policy, device and controller per run: all carry state. *)
+      let run engine =
+        let events = ref [] in
+        let obs = Obs.Sink.collect (fun e -> events := e :: !events) in
+        let device =
+          Option.map
+            (fun (g, sched, failing) ->
+              let geometry =
+                match g with
+                | "fixed" -> Device.Geometry.fixed_us 3_000
+                | "drum" -> Device.Geometry.atlas_drum
+                | _ -> Device.Geometry.paper_disk
+              in
+              let fault =
+                if failing then
+                  Some
+                    (Device.Fault.config ~seed:c.seed ~read_error_prob:0.2
+                       ~permanent_prob:0.25 ~on_exhausted:Device.Fault.Fail ())
+                else None
+              in
+              Device.Model.create ~obs (Device.Model.config ?fault ~sched geometry))
+            c.device
+        in
+        let controller =
+          Option.map
+            (fun period_us ->
+              Resilience.Controller.create (Resilience.Controller.config ~period_us ()))
+            c.controller
+        in
+        let policy =
+          Paging.Spec.instantiate c.spec ~rng:(Sim.Rng.create c.seed) ~trace:None
+        in
+        let report =
+          match
+            engine ~quantum_refs:c.quantum_refs ~obs ?device ~max_restarts:c.max_restarts
+              ?controller ~frames:c.frames ~policy ~fetch_us:c.fetch_us specs
+          with
+          | r -> Ok r
+          | exception e -> Error (Printexc.to_string e)
+        in
+        let shed =
+          Option.map
+            (fun ctl -> (Resilience.Controller.sheds ctl, Resilience.Controller.admits ctl))
+            controller
+        in
+        (report, shed, List.rev !events)
+      in
+      let expected =
+        run (fun ~quantum_refs ~obs ?device ~max_restarts ?controller ->
+            Ref_multiprog.run ~quantum_refs ~obs ?device ~max_restarts ?controller)
+      in
+      let got =
+        run (fun ~quantum_refs ~obs ?device ~max_restarts ?controller ->
+            Dsas.Multiprog.run ~quantum_refs ~obs ?device ~max_restarts ?controller)
+      in
+      expected = got)
+
 (* --- Machines --- *)
 
 let contains ~needle hay =
@@ -252,6 +376,7 @@ let () =
           Alcotest.test_case "overlap raises utilization" `Quick test_multiprog_overlap_raises_utilization;
           Alcotest.test_case "all jobs finish" `Quick test_multiprog_all_jobs_finish;
           Alcotest.test_case "shared pool pressure" `Quick test_multiprog_shared_pool_pressure;
+          QCheck_alcotest.to_alcotest multiprog_oracle_property;
         ] );
       ( "machines",
         [

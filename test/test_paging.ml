@@ -28,12 +28,17 @@ let test_page_table_bounds () =
 let test_page_table_lock () =
   let pt = Paging.Page_table.create ~pages:4 in
   Paging.Page_table.install pt ~page:0 ~frame:0;
+  Paging.Page_table.unlock pt ~page:0;
+  check_int "unlocking an unlocked page counts nothing" 0 (Paging.Page_table.locked_count pt);
   Paging.Page_table.lock pt ~page:0;
+  Paging.Page_table.lock pt ~page:0;
+  check_int "relocking counts once" 1 (Paging.Page_table.locked_count pt);
   check_bool "locked eviction rejected" true
     (match Paging.Page_table.evict pt ~page:0 with
      | () -> false
      | exception Invalid_argument _ -> true);
   Paging.Page_table.unlock pt ~page:0;
+  check_int "none locked" 0 (Paging.Page_table.locked_count pt);
   Paging.Page_table.evict pt ~page:0;
   check_int "evictable after unlock" 0 (Paging.Page_table.resident_count pt)
 
@@ -423,12 +428,18 @@ let test_hierarchy_demotion_and_capacity () =
   check_bool "page 0 was pushed to the drum" true (Paging.Hierarchy.faults h > faults)
 
 (* Property: the timed engine agrees with the untimed fault simulator
-   and never loses data, on arbitrary traces with interleaved writes. *)
+   and never loses data, on arbitrary traces with interleaved writes,
+   under every policy: with no device, TLB or lock both hand the policy
+   the whole resident set, ascending, as its candidates. *)
 let demand_model_property =
-  QCheck.Test.make ~name:"demand engine preserves data and matches fault counts" ~count:40
-    QCheck.(pair (int_range 1 6)
-              (list_of_size Gen.(int_range 20 150) (pair (int_bound 1023) bool)))
-    (fun (frames, ops) ->
+  QCheck.Test.make ~name:"demand engine preserves data and matches fault counts" ~count:300
+    QCheck.(
+      triple
+        (make ~print:Paging.Spec.to_string
+           Gen.(oneofl (Paging.Spec.all_practical @ [ Paging.Spec.Opt ])))
+        (int_range 1 6)
+        (list_of_size Gen.(int_range 20 150) (pair (int_bound 1023) bool)))
+    (fun (spec, frames, ops) ->
       let page_size = 64 and pages = 16 in
       let clock = Sim.Clock.create () in
       let core =
@@ -438,6 +449,10 @@ let demand_model_property =
       let backing =
         Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
           ~words:(pages * page_size)
+      in
+      let page_trace = Array.of_list (List.map (fun (a, _) -> a / page_size) ops) in
+      let policy () =
+        Paging.Spec.instantiate spec ~rng:(Sim.Rng.create frames) ~trace:(Some page_trace)
       in
       (* Model: backing starts as w -> 31w; writes overwrite. *)
       let model = Hashtbl.create 64 in
@@ -457,7 +472,7 @@ let demand_model_property =
             pages;
             core;
             backing;
-            policy = Paging.Replacement.lru ();
+            policy = policy ();
             tlb = None;
             compute_us_per_ref = 1;
           }
@@ -473,13 +488,131 @@ let demand_model_property =
           else if Paging.Demand.read engine addr <> expected addr then ok := false)
         ops;
       (* Cross-check fault counts against the untimed simulator. *)
-      let page_trace = Array.of_list (List.map (fun (a, _) -> a / page_size) ops) in
       let writes = Array.of_list (List.map snd ops) in
       let r =
-        Paging.Fault_sim.run_writes ~frames ~policy:(Paging.Replacement.lru ())
+        Paging.Fault_sim.run_writes ~frames ~policy:(policy ())
           ~write:(fun i -> writes.(i)) page_trace
       in
       !ok && r.Paging.Fault_sim.faults = Paging.Demand.faults engine)
+
+(* A locked page is never offered as a candidate, so never evicted; and
+   a lock that would leave every frame locked is refused. *)
+let test_demand_lock_never_victim () =
+  let lru = Paging.Replacement.lru () in
+  let offered_locked = ref false in
+  let policy =
+    {
+      lru with
+      Paging.Replacement.choose_victim =
+        (fun ~candidates ->
+          if Array.mem 0 candidates || Array.mem 2 candidates then offered_locked := true;
+          lru.Paging.Replacement.choose_victim ~candidates);
+    }
+  in
+  let t, _, _ = make_demand ~frames:3 ~policy () in
+  Paging.Demand.lock t ~page:0;
+  Paging.Demand.lock t ~page:0;
+  Paging.Demand.lock t ~page:2;
+  List.iter (fun p -> ignore (Paging.Demand.read t (p * 64))) [ 1; 3; 4; 5; 1; 6; 7 ];
+  check_bool "locked pages never offered" false !offered_locked;
+  check_bool "page 0 resident" true (Paging.Demand.frame_of t ~page:0 <> None);
+  check_bool "page 2 resident" true (Paging.Demand.frame_of t ~page:2 <> None);
+  check_int "faults through the one unlocked frame" 7 (Paging.Demand.faults t);
+  check_bool "locking the last frame raises" true
+    (match Paging.Demand.lock t ~page:7 with
+     | () -> false
+     | exception Invalid_argument _ -> true);
+  (* the refused lock was undone: page 7 is still evictable *)
+  ignore (Paging.Demand.read t (8 * 64));
+  check_bool "page 7 evicted" true (Paging.Demand.frame_of t ~page:7 = None);
+  Paging.Demand.unlock t ~page:0;
+  Paging.Demand.unlock t ~page:0;
+  ignore (Paging.Demand.read t (9 * 64));
+  check_bool "unlocked page 0 evictable again" true (Paging.Demand.frame_of t ~page:0 = None);
+  check_bool "page 2 still locked" true (Paging.Demand.frame_of t ~page:2 <> None)
+
+(* --- Hierarchy against its oracle --- *)
+
+type hierarchy_case = {
+  fast_frames : int;
+  bulk_frames : int;
+  promotion : Paging.Hierarchy.promotion;
+  device : (string * bool) option;  (* geometry, failing reads *)
+  pages : int list;
+}
+
+let print_hierarchy_case c =
+  Printf.sprintf "fast=%d bulk=%d promotion=%s device=%s pages=[%s]" c.fast_frames
+    c.bulk_frames
+    (match c.promotion with
+     | Paging.Hierarchy.Always -> "always"
+     | Never -> "never"
+     | After k -> Printf.sprintf "after %d" k)
+    (match c.device with
+     | None -> "none"
+     | Some (g, failing) -> g ^ if failing then "+fail" else "")
+    (String.concat ";" (List.map string_of_int c.pages))
+
+let hierarchy_case_gen =
+  let open QCheck.Gen in
+  let* fast_frames = frequency [ (1, return 0); (4, int_range 1 5) ] in
+  let* bulk_frames = int_range 1 8 in
+  let* promotion =
+    frequency
+      [ (1, return Paging.Hierarchy.Never); (1, return Paging.Hierarchy.Always);
+        (2, map (fun k -> Paging.Hierarchy.After k) (int_range 1 4)) ]
+  in
+  let* device =
+    frequency
+      [ (2, return None);
+        (1, map2 (fun g f -> Some (g, f)) (oneofl [ "drum"; "disk" ]) bool) ]
+  in
+  let* extent = int_range 1 20 in
+  let+ pages = list_size (int_range 0 300) (int_bound (extent - 1)) in
+  { fast_frames; bulk_frames; promotion; device; pages }
+
+let hierarchy_oracle_property =
+  QCheck.Test.make ~name:"hierarchy on resident slots matches the Hashtbl oracle" ~count:300
+    (QCheck.make ~print:print_hierarchy_case hierarchy_case_gen)
+    (fun c ->
+      let config () =
+        {
+          Paging.Hierarchy.fast_frames = c.fast_frames;
+          bulk_frames = c.bulk_frames;
+          fast_us = 1;
+          bulk_us = 8;
+          fetch_us = 500;
+          promotion = c.promotion;
+          device =
+            Option.map
+              (fun (g, failing) ->
+                let fault =
+                  if failing then
+                    Some
+                      (Device.Fault.config ~read_error_prob:0.3 ~permanent_prob:0.25
+                         ~on_exhausted:Device.Fault.Fail ())
+                  else None
+                in
+                Device.Model.create
+                  (Device.Model.config ?fault
+                     (if g = "drum" then Device.Geometry.atlas_drum
+                      else Device.Geometry.paper_disk)))
+              c.device;
+        }
+      in
+      let h = Paging.Hierarchy.create (config ()) in
+      let r = Ref_hierarchy.create (config ()) in
+      List.for_all
+        (fun page ->
+          Result.is_ok (Paging.Hierarchy.touch_result h ~page)
+          = Result.is_ok (Ref_hierarchy.touch_result r ~page))
+        c.pages
+      && Paging.Hierarchy.refs h = Ref_hierarchy.refs r
+      && Paging.Hierarchy.faults h = Ref_hierarchy.faults r
+      && Paging.Hierarchy.promotions h = Ref_hierarchy.promotions r
+      && Paging.Hierarchy.fast_hits h = Ref_hierarchy.fast_hits r
+      && Paging.Hierarchy.hard_failures h = Ref_hierarchy.hard_failures r
+      && Paging.Hierarchy.elapsed_us h = Ref_hierarchy.elapsed_us r)
 
 let () =
   Alcotest.run "paging"
@@ -524,6 +657,7 @@ let () =
           Alcotest.test_case "promotion rules" `Quick test_hierarchy_promotion_rules;
           Alcotest.test_case "never vs always" `Quick test_hierarchy_never_vs_always;
           Alcotest.test_case "demotion+capacity" `Quick test_hierarchy_demotion_and_capacity;
+          QCheck_alcotest.to_alcotest hierarchy_oracle_property;
         ] );
       ( "demand",
         [
@@ -535,6 +669,7 @@ let () =
           Alcotest.test_case "prefetch avoids fault" `Quick test_demand_prefetch_avoids_fault;
           Alcotest.test_case "wont-need frees frame" `Quick test_demand_wont_need_frees_frame;
           Alcotest.test_case "lock pins page" `Quick test_demand_lock_pins_page;
+          Alcotest.test_case "locked page never a victim" `Quick test_demand_lock_never_victim;
           Alcotest.test_case "bound violation" `Quick test_demand_bound_violation;
         ] );
     ]

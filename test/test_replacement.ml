@@ -297,7 +297,16 @@ let resident_slots_model =
           n = List.length !model
           && Array.to_list (Array.sub (Paging.Resident_slots.slots s) 0 n) = !model
           && Paging.Resident_slots.is_full s = (n = capacity)
-          && Paging.Resident_slots.mem s k = List.mem k !model)
+          && Paging.Resident_slots.mem s k = List.mem k !model
+          (* [filter] keeps the members it should, in order, and lends
+             the backing array exactly when the set is full and all
+             are kept *)
+          &&
+          let keep p = p mod 3 <> k mod 3 in
+          let kept = Paging.Resident_slots.filter s ~keep in
+          Array.to_list kept = List.filter keep !model
+          && (kept == Paging.Resident_slots.slots s)
+             = (n = capacity && List.for_all keep !model))
         ops)
 
 let test_negative_page () =
