@@ -27,19 +27,20 @@ let serve ?(obs = Obs.Sink.null) policy events =
   let mem = Memstore.Physical.create ~name:"core" ~words in
   let a = Freelist.Allocator.create ~obs mem ~base:0 ~len:words ~policy in
   let table = Hashtbl.create 512 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr -> Hashtbl.replace table id addr
-         | None -> ())
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some addr ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove table id
-         | None -> ()))
-    events;
+  Obs.Prof.span "c2.replay" (fun () ->
+      List.iter
+        (function
+          | Workload.Alloc_stream.Alloc { id; size } ->
+            (match Freelist.Allocator.alloc a size with
+             | Some addr -> Hashtbl.replace table id addr
+             | None -> ())
+          | Workload.Alloc_stream.Free { id } ->
+            (match Hashtbl.find_opt table id with
+             | Some addr ->
+               Freelist.Allocator.free a addr;
+               Hashtbl.remove table id
+             | None -> ()))
+        events);
   a
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
@@ -71,6 +72,7 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
               policy events
           in
           t_base := !t_base + List.length events;
+          Obs.Prof.span "c2.census" @@ fun () ->
           let sizes = Freelist.Allocator.free_block_sizes a in
           {
             policy = Freelist.Policy.to_string policy;

@@ -53,19 +53,21 @@ let point ?seed ?(rep = 0) ?(mean_size = default_mean_size)
       { Freelist.Allocator.s_base = 0; s_len = words; s_policy = policy }
   in
   let table = Hashtbl.create 512 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr -> Hashtbl.replace table id addr
-         | None -> ())
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some addr ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove table id
-         | None -> ()))
-    events;
+  Obs.Prof.span "x10_fss.replay" (fun () ->
+      List.iter
+        (function
+          | Workload.Alloc_stream.Alloc { id; size } ->
+            (match Freelist.Allocator.alloc a size with
+             | Some addr -> Hashtbl.replace table id addr
+             | None -> ())
+          | Workload.Alloc_stream.Free { id } ->
+            (match Hashtbl.find_opt table id with
+             | Some addr ->
+               Freelist.Allocator.free a addr;
+               Hashtbl.remove table id
+             | None -> ()))
+        events);
+  Obs.Prof.span "x10_fss.census" @@ fun () ->
   let sizes = Freelist.Allocator.free_block_sizes a in
   let free = Freelist.Allocator.free_words a in
   {

@@ -3,6 +3,7 @@ type t = {
   base : int;
   len : int;
   policy : Policy.t;
+  index : Hole_index.t option;  (* every hole; none under next fit or below [index_words] *)
   mutable free_head : int;  (* region-relative offset, Block.null if none *)
   mutable rover : int;  (* next-fit resume point *)
   mutable live_words : int;  (* sum of payload words of live blocks *)
@@ -18,17 +19,36 @@ type t = {
 
 let null = Block.null
 
+(* Regions of fewer words walk their free list, as next fit does.  Their
+   lists hold a handful of holes, and upkeep of an index costs more than
+   the short walk it saves: on perfbench's freelist_churn the index path
+   is slower per operation on 1K-4K-word stores and faster from 16K
+   words up, increasingly so with size. *)
+let index_words = 8192
+
 type spec = { s_base : int; s_len : int; s_policy : Policy.t }
 
 let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
   assert (len >= Block.min_block);
   assert (base >= 0 && base + len <= Memstore.Physical.size mem);
+  let index =
+    match policy with
+    | Policy.Next_fit -> None
+    | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ ->
+      if len < index_words then None
+      else begin
+        let ix = Hole_index.create () in
+        Hole_index.insert ix (Hole_index.locate ix 0) ~off:0 ~size:len;
+        Some ix
+      end
+  in
   let t =
     {
       mem;
       base;
       len;
       policy;
+      index;
       free_head = 0;
       rover = null;
       live_words = 0;
@@ -70,11 +90,10 @@ let set_next t off v = Block.write_next t.mem ~base:t.base off v
 
 let set_prev t off v = Block.write_prev t.mem ~base:t.base off v
 
-let unlink t off =
-  let next = next_free t off and prev = prev_free t off in
+(* Unthread a node whose list neighbours are [prev] and [next]. *)
+let unlink_between t ~prev ~next =
   if prev = null then t.free_head <- next else set_next t prev next;
-  if next <> null then set_prev t next prev;
-  if t.rover = off then t.rover <- next
+  if next <> null then set_prev t next prev
 
 (* Thread node [off] between list nodes [prev] and [next] ([null] at
    the list's ends). *)
@@ -83,6 +102,28 @@ let link t off ~prev ~next =
   set_prev t off prev;
   if prev = null then t.free_head <- off else set_next t prev off;
   if next <> null then set_prev t next off
+
+(* Mark the [size] words at [off] allocated and account for them. *)
+let grant t off size =
+  write_tags t off ~size ~allocated:true;
+  t.live_words <- t.live_words + size - Block.overhead;
+  t.live_blocks <- t.live_blocks + 1;
+  if t.tracing then emit t (Alloc { addr = t.base + off + 1; size = size - Block.overhead });
+  Some (t.base + off + 1)
+
+let refuse t =
+  t.failures <- t.failures + 1;
+  None
+
+let split_event t off ~needed ~remainder =
+  if t.tracing then emit t (Split { addr = t.base + off; size = needed; remainder })
+
+(* --- Next fit and small regions: the in-store list, walked --- *)
+
+let unlink t off =
+  let next = next_free t off and prev = prev_free t off in
+  unlink_between t ~prev ~next;
+  if t.rover = off then t.rover <- next
 
 (* Replace node [off] by node [off'] at the same list position; used when
    splitting leaves the remainder, or coalescing leaves the merged block,
@@ -161,8 +202,9 @@ let take_high t request =
   | Policy.Two_ends { small_max } -> request > small_max
   | Policy.First_fit | Policy.Next_fit | Policy.Best_fit | Policy.Worst_fit -> false
 
-(* Placement: a free block whose size covers [needed], or [null]. *)
-let find_hole t ~request ~needed =
+(* Placement by walking: a free block whose size covers [needed], or
+   [null]. *)
+let walk_for_hole t ~request ~needed =
   match t.policy with
   | Policy.First_fit -> first_fit t t.free_head needed
   | Policy.Next_fit ->
@@ -177,55 +219,148 @@ let find_hole t ~request ~needed =
     if take_high t request then last_fit t t.free_head needed ~last:null
     else first_fit t t.free_head needed
 
-(* Mark the [size] words at [off] allocated and account for them;
-   [rover_after] is where a next-fit rove resumes. *)
-let grant t off size ~rover_after =
-  write_tags t off ~size ~allocated:true;
-  (match t.policy with
-   | Policy.Next_fit ->
-     (* Resume the rove just past the hole we carved. *)
-     t.rover <- (if rover_after <> null then rover_after else t.free_head)
-   | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
-  t.live_words <- t.live_words + size - Block.overhead;
-  t.live_blocks <- t.live_blocks + 1;
-  if t.tracing then emit t (Alloc { addr = t.base + off + 1; size = size - Block.overhead });
-  Some (t.base + off + 1)
+(* A next-fit rove resumes at [off], or at the head past the list's end. *)
+let rove_to t off =
+  match t.policy with
+  | Policy.Next_fit -> t.rover <- (if off <> null then off else t.free_head)
+  | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ()
+
+(* Carve [needed] words from the walked-to hole at [off]: from its high
+   end for a two-ends large request, else from its low end. *)
+let carve_walked t off ~request ~needed =
+  let size = Block.size (header t off) in
+  let remainder = size - needed in
+  if remainder < Block.min_block then begin
+    let succ = next_free t off in
+    unlink t off;
+    rove_to t succ;
+    grant t off size
+  end
+  else begin
+    split_event t off ~needed ~remainder;
+    if take_high t request then begin
+      (* The hole shrinks in place; its links and position are
+         unchanged.  The allocation sits at its high end. *)
+      write_tags t off ~size:remainder ~allocated:false;
+      rove_to t off;
+      grant t (off + remainder) needed
+    end
+    else begin
+      let rem_off = off + needed in
+      write_tags t rem_off ~size:remainder ~allocated:false;
+      replace_node t off rem_off;
+      rove_to t rem_off;
+      grant t off needed
+    end
+  end
+
+(* The merged block takes a free neighbour's list slot: the lower
+   neighbour grows in place, or the block replaces its upper neighbour.
+   With neither free it is spliced in after the nearest hole below.  A
+   rover on an absorbed neighbour moves to the merged block's successor. *)
+let relink_walked t off ~lower ~after ~upper_size =
+  if lower <> null then begin
+    if upper_size > 0 then unlink t after;
+    if t.rover = lower then t.rover <- next_free t lower
+  end
+  else if upper_size > 0 then begin
+    if t.rover = after then t.rover <- next_free t after;
+    replace_node t after off
+  end
+  else begin
+    let prev = hole_below t off in
+    link t off ~prev ~next:(if prev = null then t.free_head else next_free t prev)
+  end
+
+(* --- Large regions: the hole index --- *)
+
+(* The chosen hole's index position, or [Hole_index.none].  [t.examined]
+   is the length of the list walk the search replaces: best, worst and
+   last fit look at every hole, first fit stops at the first sufficient
+   one. *)
+let search t ix ~request ~needed =
+  match t.policy with
+  | Policy.Best_fit ->
+    t.examined <- Hole_index.length ix;
+    Hole_index.best_fit ix needed
+  | Policy.Worst_fit ->
+    t.examined <- Hole_index.length ix;
+    Hole_index.worst_fit ix needed
+  | Policy.Two_ends _ when take_high t request ->
+    t.examined <- Hole_index.length ix;
+    Hole_index.last_fit ix needed
+  (* next fit keeps no index and never searches one *)
+  | Policy.First_fit | Policy.Two_ends _ | Policy.Next_fit ->
+    let p = Hole_index.first_fit ix needed in
+    t.examined <- (if p = Hole_index.none then Hole_index.length ix else Hole_index.rank ix p + 1);
+    p
+
+(* Carve [needed] words from the hole at index position [p]: from its
+   high end for a two-ends large request, else from its low end. *)
+let carve_indexed t ix p ~request ~needed =
+  let off = Hole_index.off ix p in
+  let remainder = Hole_index.size ix p - needed in
+  let prev = Hole_index.off_before ix p and next = Hole_index.off_from ix (p + 1) in
+  if remainder < Block.min_block then begin
+    unlink_between t ~prev ~next;
+    Hole_index.remove ix p;
+    grant t off (remainder + needed)
+  end
+  else begin
+    split_event t off ~needed ~remainder;
+    if take_high t request then begin
+      (* The hole shrinks in place; its links and position are
+         unchanged.  The allocation sits at its high end. *)
+      write_tags t off ~size:remainder ~allocated:false;
+      Hole_index.replace ix p ~off ~size:remainder;
+      grant t (off + remainder) needed
+    end
+    else begin
+      let rem_off = off + needed in
+      write_tags t rem_off ~size:remainder ~allocated:false;
+      link t rem_off ~prev ~next;
+      Hole_index.replace ix p ~off:rem_off ~size:remainder;
+      grant t off needed
+    end
+  end
+
+(* As [relink_walked], with the list neighbours and the new hole's
+   slot read from the index. *)
+let relink_indexed t ix off ~lower ~upper_size ~merged_size =
+  let p = Hole_index.locate ix off in
+  if lower <> null then begin
+    Hole_index.replace ix (Hole_index.before ix p) ~off:lower ~size:merged_size;
+    if upper_size > 0 then begin
+      unlink_between t ~prev:lower ~next:(Hole_index.off_from ix (p + 1));
+      Hole_index.remove ix p
+    end
+  end
+  else begin
+    let prev = Hole_index.off_before ix p in
+    if upper_size > 0 then begin
+      link t off ~prev ~next:(Hole_index.off_from ix (p + 1));
+      Hole_index.replace ix p ~off ~size:merged_size
+    end
+    else begin
+      link t off ~prev ~next:(Hole_index.off_from ix p);
+      Hole_index.insert ix p ~off ~size:merged_size
+    end
+  end
 
 let alloc t request =
   assert (request >= 1);
   t.ops <- t.ops + 1;
   let needed = max Block.min_block (request + Block.overhead) in
   t.examined <- 0;
-  let off = find_hole t ~request ~needed in
-  Metrics.Stats.add t.searches (float_of_int t.examined);
-  if off = null then begin
-    t.failures <- t.failures + 1;
-    None
-  end
-  else begin
-    let size = Block.size (header t off) in
-    let remainder = size - needed in
-    if remainder < Block.min_block then begin
-      let succ = next_free t off in
-      unlink t off;
-      grant t off size ~rover_after:succ
-    end
-    else begin
-      if t.tracing then emit t (Split { addr = t.base + off; size = needed; remainder });
-      if take_high t request then begin
-        (* The hole shrinks in place; its links and position are
-           unchanged.  The allocation sits at its high end. *)
-        write_tags t off ~size:remainder ~allocated:false;
-        grant t (off + remainder) needed ~rover_after:off
-      end
-      else begin
-        let rem_off = off + needed in
-        write_tags t rem_off ~size:remainder ~allocated:false;
-        replace_node t off rem_off;
-        grant t off needed ~rover_after:rem_off
-      end
-    end
-  end
+  match t.index with
+  | Some ix ->
+    let p = search t ix ~request ~needed in
+    Metrics.Stats.add t.searches (float_of_int t.examined);
+    if p = Hole_index.none then refuse t else carve_indexed t ix p ~request ~needed
+  | None ->
+    let off = walk_for_hole t ~request ~needed in
+    Metrics.Stats.add t.searches (float_of_int t.examined);
+    if off = null then refuse t else carve_walked t off ~request ~needed
 
 (* Size of the live block whose payload starts at [addr]. *)
 let live_size t addr =
@@ -239,10 +374,6 @@ let live_size t addr =
 
 let payload_size t addr = live_size t addr - Block.overhead
 
-(* The merged block takes a free neighbour's list slot: the lower
-   neighbour grows in place, or the block replaces its upper neighbour.
-   With neither free it is spliced in after the nearest hole below.  A
-   rover on an absorbed neighbour moves to the merged block's successor. *)
 let free t addr =
   let size = live_size t addr in
   let off = addr - t.base - 1 in
@@ -269,18 +400,9 @@ let free t addr =
   let merged_size = after + upper_size - merged_off in
   if t.tracing && merged_size > size then
     emit t (Coalesce { addr = t.base + merged_off; size = merged_size });
-  if lower <> null then begin
-    if upper_size > 0 then unlink t after;
-    if t.rover = lower then t.rover <- next_free t lower
-  end
-  else if upper_size > 0 then begin
-    if t.rover = after then t.rover <- next_free t after;
-    replace_node t after off
-  end
-  else begin
-    let prev = hole_below t off in
-    link t off ~prev ~next:(if prev = null then t.free_head else next_free t prev)
-  end;
+  (match t.index with
+   | Some ix -> relink_indexed t ix off ~lower ~upper_size ~merged_size
+   | None -> relink_walked t off ~lower ~after ~upper_size);
   write_tags t merged_off ~size:merged_size ~allocated:false
 
 let live_words t = t.live_words
@@ -318,6 +440,7 @@ let compact t channel ~relocate =
   let blocks = walk t in
   t.free_head <- null;
   t.rover <- null;
+  Option.iter Hole_index.clear t.index;
   let place dst b =
     if b.allocated then begin
       if b.off > dst then begin
@@ -338,7 +461,10 @@ let compact t channel ~relocate =
     write_tags t dst ~size:remainder ~allocated:false;
     set_next t dst null;
     set_prev t dst null;
-    t.free_head <- dst
+    t.free_head <- dst;
+    Option.iter
+      (fun ix -> Hole_index.insert ix (Hole_index.locate ix dst) ~off:dst ~size:remainder)
+      t.index
   end
   else if remainder > 0 then begin
     (* Too small to describe as a block: pad the final live block. *)
@@ -399,4 +525,21 @@ let validate t =
   if payload <> t.live_words then
     fail "validate: live_words counter %d vs %d" t.live_words payload;
   if t.rover <> null && not (List.mem t.rover listed_free) then
-    fail "validate: rover %d not on free list" t.rover
+    fail "validate: rover %d not on free list" t.rover;
+  match t.index with
+  | None -> ()
+  | Some ix ->
+    Hole_index.validate ix;
+    let rec agree indexed walked =
+      match (indexed, walked) with
+      | [], [] -> ()
+      | (o, s) :: indexed, b :: walked ->
+        if o <> b.off || s <> b.size then
+          fail "validate: index holds hole %d (%d words) where the list has %d (%d words)" o s
+            b.off b.size;
+        agree indexed walked
+      | _ :: _, [] | [], _ :: _ ->
+        fail "validate: index holds %d holes, the list %d" (Hole_index.length ix)
+          (List.length listed_free)
+    in
+    agree (Hole_index.holes ix) (List.filter (fun b -> not b.allocated) blocks)

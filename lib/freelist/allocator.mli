@@ -6,8 +6,25 @@
     free blocks themselves.  Freeing coalesces with both neighbours
     immediately, so the free list never contains adjacent blocks.
 
-    Placement is pluggable ({!Policy.t}).  {!compact} implements the
-    paper's second "course of action" against fragmentation — moving
+    Placement is pluggable ({!Policy.t}).  In regions of 8192 words or
+    more, first, best, worst and two-ends fit search a host-side
+    {!Hole_index} of every hole's offset and size, kept in step with the
+    list, and take their list neighbours and [free]'s list slot from it:
+    they write the in-store links word-for-word, so the store image is
+    what a supervisor walking the list would leave, but never read them.
+    Next fit, and every policy in a smaller region (whose list holds a
+    handful of holes, so the walk is cheaper than index upkeep), keeps no
+    index and walks the in-store list.
+
+    {!search_stats} reports the length of the 1967 list walk either way.
+    A walk counts the nodes it visits.  With the index the count is
+    derived: best fit, worst fit and two-ends' large requests (which
+    take the highest sufficient hole) look at the whole list, so they
+    count its length; first fit and two-ends' small requests count the
+    address rank of the first sufficient hole plus one, or the list
+    length when no hole is sufficient.
+
+    {!compact} implements the paper's second "course of action" against fragmentation — moving
     information to consolidate holes — using the autonomous
     storage-to-storage channel, and is only sound because clients reach
     their storage through relocatable references (see {!Handle_table}). *)
@@ -56,9 +73,11 @@ val alloc : t -> int -> int option
 val free : t -> int -> unit
 (** Release a payload address previously returned by {!alloc}.  Raises
     [Invalid_argument] if the address is not a live allocation.  The
-    merged block's place on the free list comes from the boundary tags
-    (a free neighbour's slot, or the nearest hole below), so [free]
-    never searches the list. *)
+    boundary tags tell whether a neighbour is free: the merged block
+    takes a free neighbour's list slot.  With neither free, its slot
+    comes from the hole index, or, without one, from the nearest hole
+    below found by walking the footers down; [free] never searches the
+    list. *)
 
 val payload_size : t -> int -> int
 (** Usable words of the live allocation at the given payload address
@@ -84,7 +103,8 @@ val failures : t -> int
 
 val search_stats : t -> Metrics.Stats.t
 (** Free-list nodes examined per allocation attempt — the bookkeeping
-    cost the paper weighs against fragmentation. *)
+    cost the paper weighs against fragmentation — as a list walk would
+    count them (see the module doc). *)
 
 val compact : t -> Memstore.Channel.t -> relocate:(int -> int -> unit) -> unit
 (** Slide every live block to the low end of the region, leaving one
@@ -102,5 +122,7 @@ val walk : t -> walk_block list
 val validate : t -> unit
 (** Walk raw memory and the free list and check every invariant
     (tags consistent, sizes tile the region, no adjacent free blocks,
-    free list = free blocks of the walk, counters consistent).
-    Raises [Failure] describing the first violation. *)
+    free list = free blocks of the walk, counters consistent), and that
+    the hole index, if any, is sound ({!Hole_index.validate}) and holds
+    exactly the walk's free blocks, offsets and sizes alike.  Raises
+    [Failure] describing the first violation. *)

@@ -15,13 +15,15 @@ type config = {
 
 (* One resident set per level under one LRU: every touch stamps the
    page, and a page moving between the levels keeps its stamp, so each
-   level's victim is its own least recently used page. *)
+   level's victim is its own least recently used page.  One table
+   answers a reference: a resident page's level, and its touches since
+   it reached that level. *)
 type t = {
   cfg : config;
   fast : Resident_slots.t;
   bulk : Resident_slots.t;
   lru : Replacement.t;
-  touches : Flat_table.t;  (* per resident page, since it reached its level *)
+  state : Flat_table.t;  (* page -> (touches lsl level_bits) lor level; 0 if absent *)
   mutable refs : int;
   mutable faults : int;
   mutable promotions : int;
@@ -37,7 +39,7 @@ let create cfg =
     fast = Resident_slots.create ~capacity:cfg.fast_frames;
     bulk = Resident_slots.create ~capacity:cfg.bulk_frames;
     lru = Replacement.lru ();
-    touches = Flat_table.create ~absent:0;
+    state = Flat_table.create ~absent:0;
     refs = 0;
     faults = 0;
     promotions = 0;
@@ -45,6 +47,15 @@ let create cfg =
     elapsed_us = 0;
     hard_failures = 0;
   }
+
+let level_bits = 2
+
+let in_fast = 1
+
+let in_bulk = 2
+
+(* A state word one touch later. *)
+let touch_once state = state + (1 lsl level_bits)
 
 (* Move [page] up to fast core, demoting fast core's LRU page into the
    bulk frame it leaves. *)
@@ -56,21 +67,19 @@ let promote t page =
         t.lru.Replacement.choose_victim ~candidates:(Resident_slots.slots t.fast)
       in
       Resident_slots.remove t.fast demoted;
-      Flat_table.remove t.touches demoted;
+      Flat_table.set t.state demoted in_bulk;
       Resident_slots.add t.bulk demoted
     end;
-    Flat_table.remove t.touches page;
+    Flat_table.set t.state page in_fast;
     Resident_slots.add t.fast page;
     t.promotions <- t.promotions + 1
   end
 
-let should_promote t page =
+let should_promote t state =
   match t.cfg.promotion with
   | Always -> true
-  | After k -> Flat_table.find t.touches page >= k
+  | After k -> state lsr level_bits >= k
   | Never -> false
-
-let touched t page = Flat_table.set t.touches page (Flat_table.find t.touches page + 1)
 
 (* The hierarchy sits below the layers with a redundant copy to fall
    back on, so its recovery policy is Surface: a terminal drum failure
@@ -79,16 +88,19 @@ let touched t page = Flat_table.set t.touches page (Flat_table.find t.touches pa
 let touch_result t ~page =
   t.refs <- t.refs + 1;
   t.lru.Replacement.on_reference ~page ~write:false;
-  if Resident_slots.mem t.fast page then begin
-    touched t page;
+  let state = Flat_table.find t.state page in
+  let level = state land ((1 lsl level_bits) - 1) in
+  if level = in_fast then begin
+    Flat_table.set t.state page (touch_once state);
     t.fast_hits <- t.fast_hits + 1;
     t.elapsed_us <- t.elapsed_us + t.cfg.fast_us;
     Ok ()
   end
-  else if Resident_slots.mem t.bulk page then begin
-    touched t page;
+  else if level = in_bulk then begin
+    let state = touch_once state in
+    Flat_table.set t.state page state;
     t.elapsed_us <- t.elapsed_us + t.cfg.bulk_us;
-    if should_promote t page then promote t page;
+    if should_promote t state then promote t page;
     Ok ()
   end
   else begin
@@ -117,9 +129,10 @@ let touch_result t ~page =
     | Ok () ->
       (* the bulk level's LRU page goes back to the drum *)
       let evicted = Replacement.admit t.lru t.bulk ~page in
-      if evicted >= 0 then Flat_table.remove t.touches evicted;
-      Flat_table.set t.touches page 1;
-      if should_promote t page then promote t page;
+      if evicted >= 0 then Flat_table.remove t.state evicted;
+      let state = touch_once in_bulk in
+      Flat_table.set t.state page state;
+      if should_promote t state then promote t page;
       Ok ()
   end
 

@@ -135,6 +135,48 @@ let test_next_fit_roves () =
   check_bool "successive allocations advance" true (y > x);
   Freelist.Allocator.validate a
 
+(* Once its arrays have grown, the hole index allocates nothing per
+   operation: over one request stream on a 64K-word region, each indexed
+   policy allocates no more minor words than next fit's walk (the result
+   boxes and search statistics both paths share), give or take a
+   capacity doubling. *)
+let test_index_allocates_nothing () =
+  let words = 65_536 and n = 50_000 and slots = 600 in
+  let st = Random.State.make [| 16 |] in
+  let picks = Array.init (2 * n) (fun _ -> Random.State.int st slots) in
+  let sizes = Array.init (2 * n) (fun _ -> 1 + Random.State.int st 100) in
+  let minor_words policy =
+    let _, a = make_allocator ~words policy in
+    let live = Array.make slots (-1) in
+    let step i =
+      let k = picks.(i) in
+      if live.(k) >= 0 then begin
+        Freelist.Allocator.free a live.(k);
+        live.(k) <- -1
+      end
+      else
+        match Freelist.Allocator.alloc a sizes.(i) with
+        | Some p -> live.(k) <- p
+        | None -> Alcotest.fail "the stream fits the region"
+    in
+    for i = 0 to n - 1 do
+      step i
+    done;
+    let w0 = Gc.minor_words () in
+    for i = n to (2 * n) - 1 do
+      step i
+    done;
+    Gc.minor_words () -. w0
+  in
+  let walked = minor_words Freelist.Policy.Next_fit in
+  List.iter
+    (fun policy ->
+      let extra = minor_words policy -. walked in
+      check_bool
+        (Printf.sprintf "%s: %.0f words beyond the walk" (Freelist.Policy.to_string policy) extra)
+        true (extra <= 1_000.))
+    Freelist.Policy.[ First_fit; Best_fit; Worst_fit; Two_ends { small_max = 20 } ]
+
 (* --- search cost --- *)
 
 let test_search_stats_recorded () =
@@ -306,77 +348,249 @@ let print_oracle_case c =
           (function Alloc s -> Printf.sprintf "a%d" s | Free i -> Printf.sprintf "f%d" i | Compact -> "c")
           c.ops))
 
+(* Replay [c] into the library allocator and Ref_allocator side by side
+   and fail at the first divergence: addresses, compaction moves, search
+   statistics, free-block sizes, counters and events after every op, the
+   whole store image after every [image_every]-th op, after every
+   compaction and at the end.  Returns the most holes seen at once. *)
+let replay_against_reference ~image_every { policy; words; ops } =
+  let mem = Memstore.Physical.create ~name:"core" ~words in
+  let ref_mem = Memstore.Physical.create ~name:"core" ~words in
+  (* Both event streams since the last op that agreed, newest first. *)
+  let events = ref [] and ref_events = ref [] in
+  let a =
+    Freelist.Allocator.create mem ~base:0 ~len:words ~policy
+      ~obs:(Obs.Sink.collect (fun e -> events := e :: !events))
+  in
+  let r =
+    Ref_allocator.create ref_mem ~base:0 ~len:words ~policy
+      ~obs:(Obs.Sink.collect (fun e -> ref_events := e :: !ref_events))
+  in
+  let chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
+  let ref_chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
+  (* Payload addresses of live objects, in allocation order. *)
+  let live = ref [||] in
+  let most_holes = ref 0 in
+  let agree what ok = if not ok then QCheck.Test.fail_reportf "%s diverges" what in
+  let last = List.length ops - 1 in
+  let step i op =
+    (match op with
+     | Alloc size ->
+       let got = Freelist.Allocator.alloc a size in
+       agree "alloc address" (got = Ref_allocator.alloc r size);
+       Option.iter
+         (fun p ->
+           live := Array.append !live [| p |];
+           (* A pattern in the payload's end words, which become stale
+              words of a later hole. *)
+           List.iter
+             (fun q ->
+               List.iter
+                 (fun m -> Memstore.Physical.write m q (Int64.of_int (i * 7919)))
+                 [ mem; ref_mem ])
+             [ p; p + min 2 (size - 1); p + size - 1 ])
+         got
+     | Free pick ->
+       let n = Array.length !live in
+       if n > 0 then begin
+         let k = pick mod n in
+         let p = !live.(k) in
+         Freelist.Allocator.free a p;
+         Ref_allocator.free r p;
+         live := Array.append (Array.sub !live 0 k) (Array.sub !live (k + 1) (n - k - 1))
+       end
+     | Compact ->
+       let moves = ref [] and ref_moves = ref [] in
+       Freelist.Allocator.compact a chan ~relocate:(fun o n' -> moves := (o, n') :: !moves);
+       Ref_allocator.compact r ref_chan ~relocate:(fun o n' ->
+           ref_moves := (o, n') :: !ref_moves);
+       agree "compaction moves" (!moves = !ref_moves);
+       live :=
+         Array.map (fun p -> Option.value (List.assoc_opt p !moves) ~default:p) !live);
+    Freelist.Allocator.validate a;
+    let s = Freelist.Allocator.search_stats a and rs = Ref_allocator.search_stats r in
+    agree "search count" (Metrics.Stats.count s = Metrics.Stats.count rs);
+    agree "search total" (Float.equal (Metrics.Stats.total s) (Metrics.Stats.total rs));
+    agree "search max" (Float.equal (Metrics.Stats.max s) (Metrics.Stats.max rs));
+    let sizes = Freelist.Allocator.free_block_sizes a in
+    agree "free block sizes" (sizes = Ref_allocator.free_block_sizes r);
+    most_holes := max !most_holes (List.length sizes);
+    agree "live words" (Freelist.Allocator.live_words a = Ref_allocator.live_words r);
+    agree "failures" (Freelist.Allocator.failures a = Ref_allocator.failures r);
+    agree "events" (!events = !ref_events);
+    events := [];
+    ref_events := [];
+    if i mod image_every = 0 || op = Compact || i = last then
+      for w = 0 to words - 1 do
+        if Memstore.Physical.read mem w <> Memstore.Physical.read ref_mem w then
+          QCheck.Test.fail_reportf "store word %d diverges after op %d" w i
+      done
+  in
+  List.iteri step ops;
+  !most_holes
+
 let allocator_matches_reference =
   QCheck.Test.make ~name:"allocator matches the reference allocator word for word" ~count:300
     (QCheck.make ~print:print_oracle_case oracle_case_gen)
-    (fun { policy; words; ops } ->
-      let mem = Memstore.Physical.create ~name:"core" ~words in
-      let ref_mem = Memstore.Physical.create ~name:"core" ~words in
-      (* Both event streams, newest first. *)
-      let events = ref [] and ref_events = ref [] in
-      let a =
-        Freelist.Allocator.create mem ~base:0 ~len:words ~policy
-          ~obs:(Obs.Sink.collect (fun e -> events := e :: !events))
-      in
-      let r =
-        Ref_allocator.create ref_mem ~base:0 ~len:words ~policy
-          ~obs:(Obs.Sink.collect (fun e -> ref_events := e :: !ref_events))
-      in
-      let chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
-      let ref_chan = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:1 in
-      (* Payload addresses of live objects, in allocation order. *)
-      let live = ref [||] in
+    (fun c ->
+      let (_ : int) = replay_against_reference ~image_every:1 c in
+      true)
+
+(* Long streams of small requests on 16K-64K-word stores, so the hole
+   index spans several leaves.  A fill phase of equal requests lays the
+   objects out side by side (every policy carves them from one hole);
+   freeing every other one (the [k]-th free of the live list in
+   allocation order removes the [2k]-th original object) then leaves
+   hundreds of isolated holes, and churn with the odd compaction
+   follows. *)
+let long_case_gen =
+  let open QCheck.Gen in
+  let* policy =
+    oneof
+      [
+        oneofl Freelist.Policy.[ First_fit; Next_fit; Best_fit; Worst_fit ];
+        map (fun small_max -> Freelist.Policy.Two_ends { small_max }) (int_range 1 24);
+      ]
+  in
+  let* words = int_range 16_384 65_536 in
+  let* fill = int_range (6 * Freelist.Hole_index.leaf_cap) (words / 32) in
+  let* fill_size = int_range 1 24 in
+  let* churn = int_range 300 1_500 in
+  let op =
+    frequency
+      [
+        (100, map (fun s -> Alloc s) (frequency [ (8, int_range 1 24); (1, int_range 1 (words / 8)) ]));
+        (100, map (fun i -> Free i) (int_bound 1_000_000));
+        (1, return Compact);
+      ]
+  in
+  let* churn_ops = list_repeat churn op in
+  return
+    {
+      policy;
+      words;
+      ops =
+        List.init fill (fun _ -> Alloc fill_size)
+        @ List.init (fill / 2) (fun k -> Free k)
+        @ churn_ops;
+    }
+
+let print_long_case c =
+  Printf.sprintf "%s words=%d ops=%d" (Freelist.Policy.to_string c.policy) c.words
+    (List.length c.ops)
+
+let allocator_matches_reference_on_long_streams =
+  QCheck.Test.make ~name:"long streams match the reference allocator" ~count:12
+    (QCheck.make ~print:print_long_case long_case_gen)
+    (fun c ->
+      let most_holes = replay_against_reference ~image_every:64 c in
+      if most_holes < 3 * Freelist.Hole_index.leaf_cap then
+        QCheck.Test.fail_reportf "only %d holes at once: the index never held three leaves"
+          most_holes;
+      true)
+
+(* --- the hole index against a sorted list --- *)
+
+type index_op =
+  | Insert of int * int  (* offset, size *)
+  | Remove of int  (* pick among the holes *)
+  | Resize of int * int  (* pick, new size *)
+  | Search of int  (* needed *)
+
+let index_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun o s -> Insert (o, s)) (int_bound 20_000) (int_range 1 300));
+      (3, map (fun k -> Remove k) (int_bound 1_000_000));
+      (2, map2 (fun k s -> Resize (k, s)) (int_bound 1_000_000) (int_range 1 300));
+      (3, map (fun n -> Search n) (int_range 1 320));
+    ]
+
+let print_index_op = function
+  | Insert (o, s) -> Printf.sprintf "i%d/%d" o s
+  | Remove k -> Printf.sprintf "r%d" k
+  | Resize (k, s) -> Printf.sprintf "z%d/%d" k s
+  | Search n -> Printf.sprintf "s%d" n
+
+(* Up to 3000 ops, most of them inserts, so the index splits and merges
+   leaves; every search, rank and neighbour is checked against a sorted
+   association list, and the leaf structure after every op. *)
+let hole_index_matches_sorted_list =
+  QCheck.Test.make ~name:"hole index matches a sorted list" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat ";" (List.map print_index_op ops))
+       QCheck.Gen.(list_size (int_range 1 3_000) index_op_gen))
+    (fun ops ->
+      let module H = Freelist.Hole_index in
+      let ix = H.create () in
+      let model = ref [] in
       let agree what ok = if not ok then QCheck.Test.fail_reportf "%s diverges" what in
-      let step i op =
-        (match op with
-         | Alloc size ->
-           let got = Freelist.Allocator.alloc a size in
-           agree "alloc address" (got = Ref_allocator.alloc r size);
-           Option.iter
-             (fun p ->
-               live := Array.append !live [| p |];
-               (* A pattern in the payload's end words, which become stale
-                  words of a later hole. *)
-               List.iter
-                 (fun q ->
-                   List.iter
-                     (fun m -> Memstore.Physical.write m q (Int64.of_int (i * 7919)))
-                     [ mem; ref_mem ])
-                 [ p; p + min 2 (size - 1); p + size - 1 ])
-             got
-         | Free pick ->
-           let n = Array.length !live in
-           if n > 0 then begin
-             let k = pick mod n in
-             let p = !live.(k) in
-             Freelist.Allocator.free a p;
-             Ref_allocator.free r p;
-             live := Array.append (Array.sub !live 0 k) (Array.sub !live (k + 1) (n - k - 1))
-           end
-         | Compact ->
-           let moves = ref [] and ref_moves = ref [] in
-           Freelist.Allocator.compact a chan ~relocate:(fun o n' -> moves := (o, n') :: !moves);
-           Ref_allocator.compact r ref_chan ~relocate:(fun o n' ->
-               ref_moves := (o, n') :: !ref_moves);
-           agree "compaction moves" (!moves = !ref_moves);
-           live :=
-             Array.map (fun p -> Option.value (List.assoc_opt p !moves) ~default:p) !live);
-        Freelist.Allocator.validate a;
-        let s = Freelist.Allocator.search_stats a and rs = Ref_allocator.search_stats r in
-        agree "search count" (Metrics.Stats.count s = Metrics.Stats.count rs);
-        agree "search total" (Float.equal (Metrics.Stats.total s) (Metrics.Stats.total rs));
-        agree "search max" (Float.equal (Metrics.Stats.max s) (Metrics.Stats.max rs));
-        agree "free block sizes"
-          (Freelist.Allocator.free_block_sizes a = Ref_allocator.free_block_sizes r);
-        agree "live words" (Freelist.Allocator.live_words a = Ref_allocator.live_words r);
-        agree "failures" (Freelist.Allocator.failures a = Ref_allocator.failures r);
-        agree "events" (!events = !ref_events);
-        for w = 0 to words - 1 do
-          if Memstore.Physical.read mem w <> Memstore.Physical.read ref_mem w then
-            QCheck.Test.fail_reportf "store word %d diverges after op %d" w i
-        done
+      let nth k = fst (List.nth !model (k mod List.length !model)) in
+      let pos_of o =
+        let p = H.locate ix o in
+        agree "locate" (H.off ix p = o);
+        p
       in
-      List.iteri step ops;
+      let found what p expected =
+        match expected with
+        | None -> agree what (p = H.none)
+        | Some (o, s) -> agree what (p <> H.none && H.off ix p = o && H.size ix p = s)
+      in
+      let step op =
+        (match op with
+         | Insert (o, s) ->
+           if not (List.mem_assoc o !model) then begin
+             let p = H.locate ix o in
+             let below = List.filter (fun (o', _) -> o' < o) !model in
+             let above = List.filter (fun (o', _) -> o' > o) !model in
+             let last_below = List.fold_left (fun _ (o', _) -> o') H.none below in
+             agree "offset before the slot" (H.off_before ix p = last_below);
+             agree "offset at the slot"
+               (H.off_from ix p = match above with (o', _) :: _ -> o' | [] -> H.none);
+             H.insert ix p ~off:o ~size:s;
+             model := below @ ((o, s) :: above)
+           end
+         | Remove k ->
+           if !model <> [] then begin
+             let o = nth k in
+             H.remove ix (pos_of o);
+             model := List.remove_assoc o !model
+           end
+         | Resize (k, s) ->
+           if !model <> [] then begin
+             let o = nth k in
+             H.replace ix (pos_of o) ~off:o ~size:s;
+             model := List.map (fun (o', s') -> if o' = o then (o', s) else (o', s')) !model
+           end
+         | Search needed ->
+           let fits = List.filter (fun (_, s) -> s >= needed) !model in
+           let pick better =
+             List.fold_left
+               (fun acc h -> match acc with Some a when not (better h a) -> acc | _ -> Some h)
+               None fits
+           in
+           let p = H.first_fit ix needed in
+           found "first fit" p (match fits with h :: _ -> Some h | [] -> None);
+           (match fits with
+            | (o, _) :: _ ->
+              let rec rank i = function
+                | (o', _) :: rest -> if o' = o then i else rank (i + 1) rest
+                | [] -> i
+              in
+              agree "rank" (H.rank ix p = rank 0 !model)
+            | [] -> ());
+           found "best fit" (H.best_fit ix needed) (pick (fun (_, s) (_, s') -> s < s'));
+           found "last fit" (H.last_fit ix needed) (pick (fun _ _ -> true));
+           let largest = List.fold_left (fun m (_, s) -> max m s) 0 !model in
+           found "worst fit" (H.worst_fit ix needed)
+             (if largest < needed then None
+              else List.find_opt (fun (_, s) -> s = largest) !model));
+        H.validate ix;
+        agree "holes" (H.holes ix = !model);
+        agree "length" (H.length ix = List.length !model)
+      in
+      List.iter step ops;
       true)
 
 (* --- buddy --- *)
@@ -482,6 +696,7 @@ let () =
           Alcotest.test_case "worst fit" `Quick test_worst_fit_picks_largest;
           Alcotest.test_case "two ends" `Quick test_two_ends_separates;
           Alcotest.test_case "next fit" `Quick test_next_fit_roves;
+          Alcotest.test_case "index allocates nothing" `Quick test_index_allocates_nothing;
         ] );
       ( "compaction",
         [
@@ -502,7 +717,12 @@ let () =
             allocator_fill_then_drain (Freelist.Policy.Two_ends { small_max = 20 });
             buddy_random_ops;
           ] );
-      ("oracle", [ QCheck_alcotest.to_alcotest allocator_matches_reference ]);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest allocator_matches_reference;
+          QCheck_alcotest.to_alcotest allocator_matches_reference_on_long_streams;
+          QCheck_alcotest.to_alcotest hole_index_matches_sorted_list;
+        ] );
       ( "buddy",
         [
           Alcotest.test_case "basic" `Quick test_buddy_basic;
