@@ -41,14 +41,15 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
                 let policy =
                   Paging.Spec.instantiate spec ~rng:(Sim.Rng.derive ?override:seed 9) ~trace:(Some trace)
                 in
+                let obs =
+                  seg
+                    ~config:
+                      (Printf.sprintf "c3 trace=%s policy=%s frames=%d" trace_name
+                         (Paging.Spec.to_string spec) frames)
+                in
                 let r =
-                  Paging.Fault_sim.run
-                    ~obs:
-                      (seg
-                         ~config:
-                           (Printf.sprintf "c3 trace=%s policy=%s frames=%d"
-                              trace_name (Paging.Spec.to_string spec) frames))
-                    ~frames ~policy trace
+                  Obs.Prof.span "c3.replay" (fun () ->
+                      Paging.Fault_sim.run ~obs ~frames ~policy trace)
                 in
                 t_base := !t_base + Array.length trace;
                 (frames, Paging.Fault_sim.fault_rate r))

@@ -35,7 +35,7 @@ let measure ?(quick = false) ?seed () =
             device = None;
           }
       in
-      Paging.Hierarchy.run h trace;
+      Obs.Prof.span "x2.replay" (fun () -> Paging.Hierarchy.run h trace);
       {
         rule;
         fast_hit_ratio =

@@ -27,7 +27,7 @@ let log2 ~max_exponent =
     min_v = max_int;
     max_v = min_int }
 
-let clamp n lo hi = if n < lo then lo else if n > hi then hi else n
+let clamp (n : int) lo hi = if n < lo then lo else if n > hi then hi else n
 
 let bucket_of t x =
   let n = Array.length t.counts in

@@ -9,10 +9,12 @@
     Each table has an {e absent} value that unbound keys read as.
     Removing a key stores that value, so a removal never breaks a probe
     chain and the table grows only with the number of distinct keys that
-    hold a non-absent value.  Lookups and updates allocate nothing;
-    growth doubles the two backing arrays, and drops keys whose value is
-    absent while rehashing.  There is no iteration, so no result can
-    depend on hash order. *)
+    hold a non-absent value.  Lookups and updates allocate nothing.
+    When the keys in use reach half the slots the table drops the keys
+    whose value is absent: in place, allocating nothing, while the live
+    bindings fill at most a quarter of the slots, and otherwise into
+    backing arrays of double size or more.  The only iteration is
+    {!bindings}, in key order, so no result can depend on hash order. *)
 
 type t
 
@@ -29,6 +31,10 @@ val set : t -> int -> int -> unit
 
 val remove : t -> int -> unit
 (** Unbind the key: it reads as the absent value again. *)
+
+val bindings : t -> (int * int) array
+(** Every key with a non-absent value, with that value, in ascending
+    key order.  Allocates the result. *)
 
 val capacity : t -> int
 (** Number of slots (a power of two); exposed for tests of growth. *)

@@ -63,9 +63,7 @@ let promote t page =
   if t.cfg.fast_frames > 0 then begin
     Resident_slots.remove t.bulk page;
     if Resident_slots.is_full t.fast then begin
-      let demoted =
-        t.lru.Replacement.choose_victim ~candidates:(Resident_slots.slots t.fast)
-      in
+      let demoted = Replacement.victim t.lru t.fast in
       Resident_slots.remove t.fast demoted;
       Flat_table.set t.state demoted in_bulk;
       Resident_slots.add t.bulk demoted

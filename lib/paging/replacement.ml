@@ -4,12 +4,24 @@ type t = {
   on_load : page:int -> unit;
   on_evict : page:int -> unit;
   choose_victim : candidates:int array -> int;
+  full_victim : (unit -> int) option;
 }
+
+(* The full-set answer is the minimum over every page the policy holds
+   state for, a superset of the slots: when it is one of the slots it is
+   also their minimum, and otherwise the scan decides. *)
+let victim policy slots =
+  match policy.full_victim with
+  | Some oldest ->
+    let v = oldest () in
+    if Resident_slots.mem slots v then v
+    else policy.choose_victim ~candidates:(Resident_slots.slots slots)
+  | None -> policy.choose_victim ~candidates:(Resident_slots.slots slots)
 
 let admit policy slots ~page =
   let victim =
     if Resident_slots.is_full slots then begin
-      let victim = policy.choose_victim ~candidates:(Resident_slots.slots slots) in
+      let victim = victim policy slots in
       Resident_slots.remove slots victim;
       policy.on_evict ~page:victim;
       victim
@@ -25,7 +37,7 @@ let no_ref ~page:_ ~write:_ = ()
 let no_page ~page:_ = ()
 
 (* The first candidate, in candidate order, minimising [key]. *)
-let first_min candidates key =
+let first_min (candidates : int array) (key : int -> int) =
   let best = ref candidates.(0) in
   let best_key = ref (key !best) in
   for i = 1 to Array.length candidates - 1 do
@@ -39,7 +51,7 @@ let first_min candidates key =
   !best
 
 (* The first candidate, in candidate order, maximising [key]. *)
-let first_max candidates key =
+let first_max (candidates : int array) (key : int -> int) =
   let best = ref candidates.(0) in
   let best_key = ref (key !best) in
   for i = 1 to Array.length candidates - 1 do
@@ -51,6 +63,12 @@ let first_max candidates key =
     end
   done;
   !best
+
+(* An array of at least [n] ints, reused across calls: where a scan
+   keeps each candidate's state for a second pass. *)
+let scratch r n =
+  if Array.length !r < n then r := Array.make (Int.max n (2 * Array.length !r)) 0;
+  !r
 
 type fifo = { mutable queue : int array; mutable head : int; mutable tail : int }
 
@@ -92,21 +110,139 @@ let fifo () =
         Array.blit q.queue q.head q.queue (q.head + 1) (!i - q.head);
         q.head <- q.head + 1;
         victim);
+    full_victim = None;
   }
 
+(* LRU.  Until a full-set victim is first asked for, [table] maps each
+   page to its stamp and victims are found by scanning the candidates.
+   The first request builds the recency list and [table] maps each page
+   to its node instead.  The list is circular and doubly linked in
+   [nodes], four words per node (page, stamp, prev, next) with node 0
+   the sentinel; it runs from the oldest stamp to the newest, and free
+   nodes are chained through their next word.  An engine that never
+   asks (one that filters its candidates) never builds it. *)
+type lru = {
+  table : Flat_table.t;
+  mutable tick : int;
+  mutable nodes : int array;  (* empty until the list is built *)
+  mutable top : int;  (* nodes handed out, the sentinel included *)
+  mutable free : int;  (* first free node, or 0 *)
+}
+
+let page_of n = 4 * n
+
+let stamp_of n = (4 * n) + 1
+
+let prev_of n = (4 * n) + 2
+
+let next_of n = (4 * n) + 3
+
+let unlink l n =
+  let a = l.nodes in
+  let p = a.(prev_of n) and x = a.(next_of n) in
+  a.(next_of p) <- x;
+  a.(prev_of x) <- p
+
+let append l n =
+  let a = l.nodes in
+  let last = a.(prev_of 0) in
+  a.(prev_of n) <- last;
+  a.(next_of n) <- 0;
+  a.(next_of last) <- n;
+  a.(prev_of 0) <- n
+
+(* A node for [page] stamped [stamp], at the new end of the list. *)
+let new_node l ~page ~stamp =
+  let n =
+    if l.free <> 0 then begin
+      let n = l.free in
+      l.free <- l.nodes.(next_of n);
+      n
+    end
+    else begin
+      if page_of (l.top + 1) > Array.length l.nodes then begin
+        let grown = Array.make (2 * Array.length l.nodes) 0 in
+        Array.blit l.nodes 0 grown 0 (Array.length l.nodes);
+        l.nodes <- grown
+      end;
+      l.top <- l.top + 1;
+      l.top - 1
+    end
+  in
+  l.nodes.(page_of n) <- page;
+  l.nodes.(stamp_of n) <- stamp;
+  append l n;
+  n
+
+let built l = Array.length l.nodes > 0
+
+(* Every stamped page gets a node, in stamp order. *)
+let build l =
+  let live = Flat_table.bindings l.table in
+  Array.stable_sort (fun (_, a) (_, b) -> Int.compare a b) live;
+  l.nodes <- Array.make (page_of (Int.max 16 (2 * (Array.length live + 1)))) 0;
+  l.top <- 1;
+  Array.iter (fun (page, stamp) -> Flat_table.set l.table page (new_node l ~page ~stamp)) live
+
+let stamp l page =
+  if not (built l) then Flat_table.set l.table page l.tick
+  else begin
+    let n = Flat_table.find l.table page in
+    if n < 0 then Flat_table.set l.table page (new_node l ~page ~stamp:l.tick)
+    else if l.nodes.(stamp_of n) <> l.tick then begin
+      l.nodes.(stamp_of n) <- l.tick;
+      unlink l n;
+      append l n
+    end
+  end
+
+let stamp_value l page =
+  let v = Flat_table.find l.table page in
+  if built l && v >= 0 then l.nodes.(stamp_of v) else v
+
+let forget l page =
+  if built l then begin
+    let n = Flat_table.find l.table page in
+    if n >= 0 then begin
+      unlink l n;
+      l.nodes.(next_of n) <- l.free;
+      l.free <- n
+    end
+  end;
+  Flat_table.remove l.table page
+
+(* The lowest page of the run of oldest stamps at the head of the list:
+   the [first_min] answer over every stamped page. *)
+let oldest l =
+  if not (built l) then build l;
+  let a = l.nodes in
+  let n = a.(next_of 0) in
+  if n = 0 then -1
+  else begin
+    let s = a.(stamp_of n) in
+    let best = ref a.(page_of n) and n = ref a.(next_of n) in
+    while !n <> 0 && a.(stamp_of !n) = s do
+      if a.(page_of !n) < !best then best := a.(page_of !n);
+      n := a.(next_of !n)
+    done;
+    !best
+  end
+
 let lru () =
-  let stamp = Flat_table.create ~absent:0 in
-  let tick = ref 0 in
-  let stamp_of p = Flat_table.find stamp p in
+  let l =
+    { table = Flat_table.create ~absent:(-1); tick = 0; nodes = [||]; top = 0; free = 0 }
+  in
+  let key = stamp_value l in
   {
     name = "LRU";
     on_reference =
       (fun ~page ~write:_ ->
-        incr tick;
-        Flat_table.set stamp page !tick);
-    on_load = (fun ~page -> Flat_table.set stamp page !tick);
-    on_evict = (fun ~page -> Flat_table.remove stamp page);
-    choose_victim = (fun ~candidates -> first_min candidates stamp_of);
+        l.tick <- l.tick + 1;
+        stamp l page);
+    on_load = (fun ~page -> stamp l page);
+    on_evict = (fun ~page -> forget l page);
+    choose_victim = (fun ~candidates -> first_min candidates key);
+    full_victim = Some (fun () -> oldest l);
   }
 
 let gone = min_int
@@ -218,6 +354,7 @@ let clock_sweep () =
           end
         done;
         !victim);
+    full_victim = None;
   }
 
 let random rng =
@@ -227,26 +364,18 @@ let random rng =
     on_load = no_page;
     on_evict = no_page;
     choose_victim = (fun ~candidates -> Sim.Rng.pick rng candidates);
+    full_victim = None;
   }
 
-(* Shared helper: random choice among the candidates of the best
-   (lowest-keyed) class.  One [Sim.Rng.int] draw over the class size,
-   indexing the class in candidate order: the draw [Sim.Rng.pick] makes
-   on the class as an array, without building it. *)
-let pick_best_class rng ~candidates ~class_of =
-  let best = ref max_int and size = ref 0 in
-  for i = 0 to Array.length candidates - 1 do
-    let k = class_of candidates.(i) in
-    if k < !best then begin
-      best := k;
-      size := 1
-    end
-    else if k = !best then incr size
-  done;
-  let skip = ref (Sim.Rng.int rng !size) and i = ref (-1) in
+(* Random choice among the candidates whose [values] entry is [v], of
+   which there are [size]: one [Sim.Rng.int] draw over the class size,
+   indexing the class in candidate order, which is the draw
+   [Sim.Rng.pick] makes on the class as an array, without building it. *)
+let pick_where rng ~(candidates : int array) ~(values : int array) ~size v =
+  let skip = ref (Sim.Rng.int rng size) and i = ref (-1) in
   while !skip >= 0 do
     incr i;
-    if class_of candidates.(!i) = !best then decr skip
+    if values.(!i) = v then decr skip
   done;
   candidates.(!i)
 
@@ -254,7 +383,7 @@ let nru rng =
   (* One word per page: bit 1 = used, bit 0 = modified, which is the
      page's class number. *)
   let bits = Flat_table.create ~absent:0 in
-  let class_of p = Flat_table.find bits p in
+  let classes = ref [||] in
   {
     name = "NRU";
     on_reference =
@@ -264,13 +393,22 @@ let nru rng =
     on_evict = (fun ~page -> Flat_table.remove bits page);
     choose_victim =
       (fun ~candidates ->
-        let victim = pick_best_class rng ~candidates ~class_of in
-        (* Periodic sensor reset, modelled as happening at each decision. *)
+        let classes = scratch classes (Array.length candidates) in
+        let best = ref max_int and size = ref 0 in
         for i = 0 to Array.length candidates - 1 do
           let p = candidates.(i) in
-          Flat_table.set bits p (Flat_table.find bits p land 1)
+          let c = Flat_table.find bits p in
+          classes.(i) <- c;
+          if c < !best then begin
+            best := c;
+            size := 1
+          end
+          else if c = !best then incr size;
+          (* Periodic sensor reset, modelled as happening at each decision. *)
+          if c land 2 <> 0 then Flat_table.set bits p (c land 1)
         done;
-        victim);
+        pick_where rng ~candidates ~values:classes ~size:!size !best);
+    full_victim = None;
   }
 
 let lfu () =
@@ -282,15 +420,13 @@ let lfu () =
     on_load = (fun ~page -> Flat_table.remove count page);
     on_evict = (fun ~page -> Flat_table.remove count page);
     choose_victim = (fun ~candidates -> first_min candidates freq);
+    full_victim = None;
   }
 
 let atlas_learning () =
   let now = ref 0 in
   let last_use = Flat_table.create ~absent:(-1) in
   let prev_gap = Flat_table.create ~absent:0 in  (* T: previous period of inactivity *)
-  let t_of p = !now - Int.max 0 (Flat_table.find last_use p) in
-  let big_t p = Flat_table.find prev_gap p in
-  let expected_idle p = big_t p - t_of p in
   {
     name = "ATLAS";
     on_reference =
@@ -306,29 +442,32 @@ let atlas_learning () =
         (* Pages believed out of use are idle longer than their previous
            inactive period: take the one idle longest.  Otherwise take
            the page that, if the recent pattern holds, will be needed
-           last, i.e. maximal T - t. *)
+           last, i.e. maximal T - t.  Both are first maxima in candidate
+           order, found in the same pass. *)
         let out = ref gone and out_t = ref min_int in
+        let idle = ref gone and idle_key = ref min_int in
         for i = 0 to Array.length candidates - 1 do
           let p = candidates.(i) in
-          let t = t_of p in
-          if t > big_t p + 1 && t > !out_t then begin
+          let t = !now - Int.max 0 (Flat_table.find last_use p) in
+          let big_t = Flat_table.find prev_gap p in
+          if t > big_t + 1 && t > !out_t then begin
             out := p;
             out_t := t
+          end;
+          if !idle = gone || big_t - t > !idle_key then begin
+            idle := p;
+            idle_key := big_t - t
           end
         done;
-        if !out <> gone then !out else first_max candidates expected_idle);
+        if !out <> gone then !out else !idle);
+    full_victim = None;
   }
 
 let m44 rng =
   (* One word per page: the reference count times two, plus the modified
      bit. *)
   let state = Flat_table.create ~absent:0 in
-  let freq p = Flat_table.find state p lsr 1 in
-  let least = ref 0 in
-  let class_of p =
-    let v = Flat_table.find state p in
-    if v lsr 1 > !least then 2 else v land 1
-  in
+  let words = ref [||] in
   {
     name = "M44";
     on_reference =
@@ -342,39 +481,35 @@ let m44 rng =
            preferred within that set (no write-back needed).  Counts age
            exponentially at every decision, so a freshly loaded page is
            not condemned merely for having had no time to accumulate
-           references. *)
-        least := max_int;
-        for i = 0 to Array.length candidates - 1 do
-          least := Int.min !least (freq candidates.(i))
-        done;
-        let victim = pick_best_class rng ~candidates ~class_of in
+           references.  One pass counts the unmodified and modified
+           pages of the least count seen so far, and ages each count
+           once its old word is kept for the draw. *)
+        let words = scratch words (Array.length candidates) in
+        let least = ref max_int and clean = ref 0 and dirty = ref 0 in
         for i = 0 to Array.length candidates - 1 do
           let p = candidates.(i) in
           let v = Flat_table.find state p in
-          Flat_table.set state p (((((v lsr 1) / 2) + 1) lsl 1) lor (v land 1))
+          words.(i) <- v;
+          let freq = v lsr 1 in
+          if freq < !least then begin
+            least := freq;
+            clean := 0;
+            dirty := 0
+          end;
+          if freq = !least then begin
+            if v land 1 = 0 then incr clean else incr dirty
+          end;
+          let aged = (((freq / 2) + 1) lsl 1) lor (v land 1) in
+          if aged <> v then Flat_table.set state p aged
         done;
-        victim);
+        if !clean > 0 then pick_where rng ~candidates ~values:words ~size:!clean (!least lsl 1)
+        else pick_where rng ~candidates ~values:words ~size:!dirty ((!least lsl 1) lor 1));
+    full_victim = None;
   }
 
 let working_set ~tau =
   assert (tau > 0);
-  let now = ref 0 in
-  let last_use = Flat_table.create ~absent:0 in
-  let last p = Flat_table.find last_use p in
-  {
-    name = Printf.sprintf "WS(%d)" tau;
-    on_reference =
-      (fun ~page ~write:_ ->
-        incr now;
-        Flat_table.set last_use page !now);
-    on_load = (fun ~page -> Flat_table.set last_use page !now);
-    on_evict = (fun ~page -> Flat_table.remove last_use page);
-    choose_victim =
-      (fun ~candidates ->
-        (* Oldest page; if it is outside the window that is a true
-           working-set eviction, otherwise it degrades to LRU. *)
-        first_min candidates last);
-  }
+  { (lru ()) with name = Printf.sprintf "WS(%d)" tau }
 
 let opt trace =
   (* The positions of page p in the trace, ascending, are
@@ -414,6 +549,7 @@ let opt trace =
     on_load = no_page;
     on_evict = no_page;
     choose_victim = (fun ~candidates -> first_max candidates next_use);
+    full_victim = None;
   }
 
 let all_practical rng =

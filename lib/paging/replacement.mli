@@ -23,7 +23,8 @@
     pass its own resident-set array (as {!Fault_sim} does), so a policy
     must neither mutate it nor keep it after returning.  Policies test
     membership by binary search and break ties towards the earliest
-    candidate, i.e. the lowest page key.
+    candidate, i.e. the lowest page key.  Each victim choice reads each
+    candidate's state once, comparing machine integers.
 
     {b Flat state.}  Per-page state (stamps, counts, use and modified
     bits, the ATLAS times) lives in {!Flat_table}s keyed by the page,
@@ -37,15 +38,33 @@ type t = {
   on_load : page:int -> unit;
   on_evict : page:int -> unit;
   choose_victim : candidates:int array -> int;
+  full_victim : (unit -> int) option;
+      (** The full-set shortcut.  [Some f]: [f ()] is the page
+          [choose_victim] would return if offered, in ascending order,
+          every page the policy holds state for (loaded or referenced,
+          and not evicted since); an engine's resident set is a subset
+          of those.  It may be a page outside the set in hand, or [-1]
+          when the policy holds no page.  Only {!victim} calls it, and
+          checks the answer.  A wrapper that changes [choose_victim]
+          must set this to [None]. *)
 }
+
+val victim : t -> Resident_slots.t -> int
+(** The victim among every page of a full resident set: the
+    [full_victim] answer when the set holds it, which is then exactly
+    the page [choose_victim] would pick from the set (the answer is the
+    choice over a superset), else [choose_victim] on the slots array.
+    The set may share its policy with another set, as {!Hierarchy}'s
+    two levels share one LRU; then answers in the other set fall back
+    to the scan. *)
 
 val admit : t -> Resident_slots.t -> page:int -> int
 (** The fault sequence of a fixed-frame engine whose candidates are its
     whole resident set: load the non-resident [page] into [slots],
-    first evicting a victim if every frame is full ([choose_victim] on
-    the slots array, then remove and [on_evict]), then add and
-    [on_load].  Returns the victim, or [-1] when a frame was free.
-    Allocates nothing.  The set's capacity must be positive. *)
+    first evicting a victim if every frame is full ({!victim}, then
+    remove and [on_evict]), then add and [on_load].  Returns the
+    victim, or [-1] when a frame was free.  Allocates nothing after
+    warm-up.  The set's capacity must be positive. *)
 
 val fifo : unit -> t
 (** Evict the page resident longest: the first entry of the load-order
@@ -55,7 +74,13 @@ val fifo : unit -> t
     is loaded and a candidate when the queue reaches them. *)
 
 val lru : unit -> t
-(** Evict the page unreferenced longest. *)
+(** Evict the page unreferenced longest; ties (pages loaded without a
+    reference in between) go to the lowest page.  [full_victim] is
+    [Some]: at its first call the policy builds a recency list of its
+    stamped pages in flat arrays and keeps it from then on, so a
+    full-set victim costs the run of equal oldest stamps at the head
+    of the list, not a scan of the set.  An engine that only ever
+    offers filtered candidates never builds the list. *)
 
 val clock_sweep : unit -> t
 (** Second chance: a hand sweeps pages in load order, clearing use bits;
@@ -92,9 +117,11 @@ val m44 : Sim.Rng.t -> t
     pages within that set. *)
 
 val working_set : tau:int -> t
-(** Evict a page outside the working-set window of [tau] references
-    (the one longest out), falling back to LRU when every candidate is
-    inside the window. *)
+(** The working-set rule with window [tau] as a fixed-frame replacement
+    policy: evict a page outside the window, the one longest out, and
+    the least recently used page when every candidate is inside it.
+    That page is the least recently used one either way, so in this
+    model the rule is {!lru} under the name ["WS(tau)"]. *)
 
 val opt : Workload.Trace.t -> t
 (** Belady's unrealizable optimum for the given page-number trace: evict

@@ -30,7 +30,7 @@ let filter t ~keep =
   end
 
 (* Index of the first of [a.(0 .. len - 1)] that is >= [k], or [len]. *)
-let search a ~len k =
+let search (a : int array) ~len k =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -38,7 +38,7 @@ let search a ~len k =
   done;
   !lo
 
-let ascending_mem a k =
+let ascending_mem (a : int array) k =
   let i = search a ~len:(Array.length a) k in
   i < Array.length a && a.(i) = k
 

@@ -6,7 +6,10 @@
     every frame is full, and then the backing array holds exactly the
     resident keys in ascending order, so it is passed to
     {!Replacement.t.choose_victim} as the candidate array with nothing
-    built or sorted per eviction.  It is the resident set of every
+    built or sorted per eviction.  When the whole set is the candidates,
+    {!Replacement.victim} first asks the policy's full-set answer and
+    keeps it only if {!mem} finds it here, so a policy such as LRU
+    need not scan the array at all.  It is the resident set of every
     engine that chooses victims through {!Replacement}: {!Fault_sim},
     {!Demand}, {!Hierarchy} (one set per level), the multiprogrammed
     pool of [Dsas.Multiprog], and the segmented engines
@@ -23,7 +26,7 @@ val is_full : t -> bool
 (** [size t = capacity]. *)
 
 val mem : t -> int -> bool
-(** Binary search, no allocation. *)
+(** Binary search over machine integers, no allocation. *)
 
 val add : t -> int -> unit
 (** Insert a key that is not a member.

@@ -10,6 +10,7 @@ type t = Paging.Replacement.t = {
   on_load : page:int -> unit;
   on_evict : page:int -> unit;
   choose_victim : candidates:int array -> int;
+  full_victim : (unit -> int) option;
 }
 
 let no_ref ~page:_ ~write:_ = ()
@@ -43,6 +44,7 @@ let fifo () =
         Queue.transfer order skipped;
         Queue.transfer skipped order;
         victim);
+    full_victim = None;
   }
 
 let lru () =
@@ -62,6 +64,7 @@ let lru () =
         Array.fold_left
           (fun best p -> if oldest p < oldest best then p else best)
           candidates.(0) candidates);
+    full_victim = None;
   }
 
 let clock_sweep () =
@@ -102,6 +105,7 @@ let clock_sweep () =
           end
         in
         sweep (2 * (List.length !ring + 1)));
+    full_victim = None;
   }
 
 let random rng =
@@ -111,6 +115,7 @@ let random rng =
     on_load = no_page;
     on_evict = no_page;
     choose_victim = (fun ~candidates -> Sim.Rng.pick rng candidates);
+    full_victim = None;
   }
 
 (* Shared helper: random choice among the candidates of the best
@@ -144,6 +149,7 @@ let nru rng =
         (* Periodic sensor reset, modelled as happening at each decision. *)
         Array.iter (fun p -> Hashtbl.replace used p false) candidates;
         victim);
+    full_victim = None;
   }
 
 let lfu () =
@@ -159,6 +165,7 @@ let lfu () =
         Array.fold_left
           (fun best p -> if freq p < freq best then p else best)
           candidates.(0) candidates);
+    full_victim = None;
   }
 
 let atlas_learning () =
@@ -200,6 +207,7 @@ let atlas_learning () =
           Array.fold_left
             (fun best p -> if big_t p - t_of p > big_t best - t_of best then p else best)
             candidates.(0) candidates);
+    full_victim = None;
   }
 
 let m44 rng =
@@ -232,6 +240,7 @@ let m44 rng =
         let victim = pick_best_class rng ~candidates ~class_of in
         Array.iter (fun p -> Hashtbl.replace count p ((freq p / 2) + 1)) candidates;
         victim);
+    full_victim = None;
   }
 
 let working_set ~tau =
@@ -254,6 +263,7 @@ let working_set ~tau =
         Array.fold_left
           (fun best p -> if last p < last best then p else best)
           candidates.(0) candidates);
+    full_victim = None;
   }
 
 let opt trace =
@@ -285,6 +295,7 @@ let opt trace =
         Array.fold_left
           (fun best p -> if next_use p > next_use best then p else best)
           candidates.(0) candidates);
+    full_victim = None;
   }
 
 let all_practical rng =

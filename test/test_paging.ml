@@ -507,6 +507,7 @@ let test_demand_lock_never_victim () =
         (fun ~candidates ->
           if Array.mem 0 candidates || Array.mem 2 candidates then offered_locked := true;
           lru.Paging.Replacement.choose_victim ~candidates);
+      full_victim = None;
     }
   in
   let t, _, _ = make_demand ~frames:3 ~policy () in

@@ -176,6 +176,162 @@ let policies_agree =
           not (List.exists (function Raised _ -> true | Victim _ | Released _ -> false) got))
         (practical_pairs c.seed))
 
+(* --- the full-set victim path --- *)
+
+(* How an engine drives [admit], against one policy (the full-set path
+   on) and its scan-only twin:
+   - [Whole_set]: one resident set, each load right after its
+     reference, as in Fault_sim;
+   - [Two_sets]: a bulk and a fast set under one shared policy, pages
+     promoted from bulk to fast and demoted back without load or evict
+     events, as in Hierarchy, so full-set answers often lie in the
+     other set and the scan has to decide;
+   - [Loads_tie]: loads without a fresh reference and releases outside
+     [admit], so several resident pages carry one stamp. *)
+type shape = Whole_set | Two_sets | Loads_tie
+
+type full_case = { shape : shape; frames : int; fast : int; seed : int; ops : (int * int) list }
+
+let full_case_gen =
+  let open QCheck.Gen in
+  let* shape = oneofl [ Whole_set; Two_sets; Loads_tie ] in
+  let* pages = int_range 2 40 in
+  let* frames = int_range 1 (pages + 2) in
+  let* fast = int_range 1 6 in
+  let* seed = int_bound 1_000_000 in
+  let+ ops = list_size (int_range 0 400) (pair (int_bound 3) (int_bound (pages - 1))) in
+  { shape; frames; fast; seed; ops }
+
+let print_full_case c =
+  Printf.sprintf "%s frames=%d fast=%d seed=%d ops=[%s]"
+    (match c.shape with Whole_set -> "whole" | Two_sets -> "two" | Loads_tie -> "tie")
+    c.frames c.fast c.seed
+    (String.concat ";" (List.map (fun (k, p) -> Printf.sprintf "%d:%d" k p) c.ops))
+
+(* The victims, demotions and releases of one run, in order; an
+   exception ends the log. *)
+let drive_full c (policy : Paging.Replacement.t) =
+  let module R = Paging.Resident_slots in
+  let bulk = R.create ~capacity:c.frames and fast = R.create ~capacity:c.fast in
+  let log = ref [] in
+  let note d = log := d :: !log in
+  let admit page =
+    let v = Paging.Replacement.admit policy bulk ~page in
+    if v >= 0 then note (Victim v)
+  in
+  (try
+     List.iter
+       (fun (kind, page) ->
+         match c.shape with
+         | Whole_set ->
+           policy.on_reference ~page ~write:(kind = 0);
+           if not (R.mem bulk page) then admit page
+         | Two_sets ->
+           policy.on_reference ~page ~write:false;
+           if R.mem bulk page then begin
+             if kind land 1 = 1 then begin
+               R.remove bulk page;
+               if R.is_full fast then begin
+                 let demoted = Paging.Replacement.victim policy fast in
+                 R.remove fast demoted;
+                 R.add bulk demoted;
+                 note (Released demoted)
+               end;
+               R.add fast page
+             end
+           end
+           else if not (R.mem fast page) then admit page
+         | Loads_tie ->
+           if kind = 3 then begin
+             if R.mem bulk page then begin
+               R.remove bulk page;
+               policy.on_evict ~page;
+               note (Released page)
+             end
+           end
+           else begin
+             if kind = 0 then policy.on_reference ~page ~write:false;
+             if not (R.mem bulk page) then admit page
+           end)
+       c.ops
+   with e -> note (Raised (Printexc.to_string e)));
+  List.rev !log
+
+(* Every practical policy on one set; on two sets only the LRU family,
+   as Hierarchy uses it (a demotion is neither a load nor an eviction,
+   which FIFO's and CLOCK's load order cannot follow). *)
+let full_set_agrees =
+  QCheck.Test.make ~name:"full-set victims match the scan" ~count:500
+    (QCheck.make ~print:print_full_case full_case_gen)
+    (fun c ->
+      let policies () =
+        match c.shape with
+        | Two_sets -> Paging.Replacement.[ lru (); working_set ~tau:64 ]
+        | Whole_set | Loads_tie -> Paging.Replacement.all_practical (Sim.Rng.create c.seed)
+      in
+      List.for_all2
+        (fun (full : Paging.Replacement.t) (twin : Paging.Replacement.t) ->
+          let got = drive_full c full and expected = drive_full c { twin with full_victim = None } in
+          if got <> expected then QCheck.Test.fail_reportf "%s diverges from its scan" full.name;
+          not (List.exists (function Raised _ -> true | Victim _ | Released _ -> false) got))
+        (policies ()) (policies ()))
+
+(* LRU's list answers every full-set victim of a single resident set,
+   so the scan runs only where two sets share the policy. *)
+let test_full_set_scans () =
+  let rng = Sim.Rng.create 7 in
+  let ops = List.init 3000 (fun _ -> (Sim.Rng.int rng 4, Sim.Rng.int rng 48)) in
+  let scans shape =
+    let lru = Paging.Replacement.lru () in
+    let n = ref 0 in
+    let counting =
+      {
+        lru with
+        Paging.Replacement.choose_victim =
+          (fun ~candidates ->
+            incr n;
+            lru.choose_victim ~candidates);
+      }
+    in
+    let c = { shape; frames = 12; fast = 4; seed = 0; ops } in
+    let victims = drive_full c counting in
+    check_bool "victims match the scan" true
+      (victims = drive_full c { (Paging.Replacement.lru ()) with full_victim = None });
+    (!n, List.length victims)
+  in
+  let n, victims = scans Whole_set in
+  check_bool "evicts" true (victims > 1000);
+  check_int "no scan for one resident set" 0 n;
+  let n, _ = scans Loads_tie in
+  check_int "no scan when stamps tie" 0 n;
+  let n, _ = scans Two_sets in
+  check_bool "two sets fall back to the scan" true (n > 0)
+
+(* After warm-up, a fault sequence through [admit] allocates nothing for
+   the policies with per-page tables and no load-order queue. *)
+let test_admit_allocates_nothing () =
+  let rng = Sim.Rng.create 11 in
+  let trace = Workload.Trace.zipf rng ~length:20_000 ~extent:96 ~skew:0.8 in
+  List.iter
+    (fun (policy : Paging.Replacement.t) ->
+      let slots = Paging.Resident_slots.create ~capacity:24 in
+      let pass () =
+        for i = 0 to Array.length trace - 1 do
+          let page = trace.(i) in
+          policy.on_reference ~page ~write:(i land 3 = 0);
+          if not (Paging.Resident_slots.mem slots page) then
+            ignore (Paging.Replacement.admit policy slots ~page : int)
+        done
+      in
+      pass ();
+      let w0 = Gc.minor_words () in
+      pass ();
+      let w1 = Gc.minor_words () in
+      Alcotest.(check (float 0.)) (policy.name ^ " minor words") 0. (w1 -. w0))
+    (let r = Sim.Rng.create 3 in
+     Paging.Replacement.
+       [ lru (); working_set ~tau:64; nru (Sim.Rng.split r); m44 (Sim.Rng.split r); atlas_learning () ])
+
 (* --- named paths --- *)
 
 (* Run [script] against both implementations of a policy and return
@@ -243,8 +399,9 @@ let test_flat_table_growth () =
   check_bool "every binding survives growth" true !all_found;
   check_int "unbound reads absent" (-1) (Paging.Flat_table.find t 5);
   let grown = Paging.Flat_table.capacity t in
-  (* Removed keys are dropped at the next rehash: the same number of
-     live keys again does not grow the table. *)
+  (* Removed keys are dropped at the next rehash, in place: the same
+     number of live keys again neither grows the table nor allocates. *)
+  let w0 = Gc.minor_words () in
   for round = 1 to 4 do
     for i = 0 to 999 do
       Paging.Flat_table.remove t (key (((round - 1) * 1000) + i))
@@ -253,7 +410,9 @@ let test_flat_table_growth () =
       Paging.Flat_table.set t (key ((round * 1000) + i)) i
     done
   done;
+  let w1 = Gc.minor_words () in
   check_int "growth follows live keys" grown (Paging.Flat_table.capacity t);
+  Alcotest.(check (float 0.)) "rehash in place allocates nothing" 0. (w1 -. w0);
   check_int "old key gone" (-1) (Paging.Flat_table.find t (key 3));
   check_int "new key bound" 3 (Paging.Flat_table.find t (key 4003));
   check_bool "min_int rejected" true
@@ -261,22 +420,60 @@ let test_flat_table_growth () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
-(* Model check against a Hashtbl: random set/remove/find over sparse keys. *)
+(* Model check against a Hashtbl: random set/remove/find over sparse
+   keys.  Long, removal-heavy runs over a few hundred keys make the
+   table drop absent keys in place many times over; after each run
+   every key is compared, and the bindings must be the model's. *)
 let flat_table_model =
   QCheck.Test.make ~name:"Flat_table agrees with a Hashtbl model" ~count:200
-    QCheck.(list (triple (int_bound 2) (int_bound 300) (int_bound 5)))
+    QCheck.(
+      list_of_size Gen.(int_range 0 2000) (triple (int_bound 2) (int_bound 300) (int_bound 5)))
     (fun ops ->
       let t = Paging.Flat_table.create ~absent:0 and model = Hashtbl.create 16 in
+      let key k = ((k mod 7) lsl 32) lor k in
+      let want k = match Hashtbl.find_opt model k with Some v -> v | None -> 0 in
       List.for_all
         (fun (op, k, v) ->
-          let k = ((k mod 7) lsl 32) lor k in
+          let k = key k in
           (match op with
            | 0 -> Paging.Flat_table.set t k v; Hashtbl.replace model k v
            | 1 -> Paging.Flat_table.remove t k; Hashtbl.remove model k
            | _ -> ());
-          let want = match Hashtbl.find_opt model k with Some v -> v | None -> 0 in
-          Paging.Flat_table.find t k = want)
-        ops)
+          Paging.Flat_table.find t k = want k)
+        ops
+      && List.for_all (fun k -> Paging.Flat_table.find t (key k) = want (key k)) (List.init 301 Fun.id)
+      && Array.to_list (Paging.Flat_table.bindings t)
+         = List.sort compare
+             (Hashtbl.fold (fun k v acc -> if v <> 0 then (k, v) :: acc else acc) model []))
+
+(* The same model under churn: a window of at most [w] live keys over a
+   few hundred, each set key removed [w] sets later, so the table keeps
+   dropping absent keys in place at a small capacity.  Every key is
+   compared after every step. *)
+let flat_table_churn =
+  QCheck.Test.make ~name:"Flat_table drops absent keys in place" ~count:100
+    QCheck.(pair (int_range 1 20) (list_of_size Gen.(int_range 0 1500) (pair (int_bound 300) (int_range 1 5))))
+    (fun (w, sets) ->
+      let t = Paging.Flat_table.create ~absent:0 and model = Hashtbl.create 16 in
+      let window = Queue.create () in
+      let key k = ((k mod 5) lsl 32) lor k in
+      let want k = match Hashtbl.find_opt model k with Some v -> v | None -> 0 in
+      List.for_all
+        (fun (k, v) ->
+          let k = key k in
+          Paging.Flat_table.set t k v;
+          Hashtbl.replace model k v;
+          Queue.add k window;
+          if Queue.length window > w then begin
+            let old = Queue.pop window in
+            if not (Queue.fold (fun seen q -> seen || q = old) false window) then begin
+              Paging.Flat_table.remove t old;
+              Hashtbl.remove model old
+            end
+          end;
+          List.for_all (fun k -> Paging.Flat_table.find t (key k) = want (key k)) (List.init 301 Fun.id))
+        sets
+      && Paging.Flat_table.capacity t <= 16 * (w + 1))
 
 let resident_slots_model =
   QCheck.Test.make ~name:"Resident_slots stays the ascending member set" ~count:200
@@ -325,10 +522,18 @@ let () =
           Alcotest.test_case "FIFO skipped and stale entries" `Quick test_fifo_skips;
           Alcotest.test_case "CLOCK skip and budget fallback" `Quick test_clock_skip_and_budget;
         ] );
+      ( "full set",
+        [
+          QCheck_alcotest.to_alcotest full_set_agrees;
+          Alcotest.test_case "scans only where sets share a policy" `Quick test_full_set_scans;
+          Alcotest.test_case "admit allocates nothing after warm-up" `Quick
+            test_admit_allocates_nothing;
+        ] );
       ( "flat",
         [
           Alcotest.test_case "table growth" `Quick test_flat_table_growth;
           QCheck_alcotest.to_alcotest flat_table_model;
+          QCheck_alcotest.to_alcotest flat_table_churn;
           QCheck_alcotest.to_alcotest resident_slots_model;
           Alcotest.test_case "negative page" `Quick test_negative_page;
         ] );
