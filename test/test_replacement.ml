@@ -522,7 +522,7 @@ let () =
           Alcotest.test_case "FIFO skipped and stale entries" `Quick test_fifo_skips;
           Alcotest.test_case "CLOCK skip and budget fallback" `Quick test_clock_skip_and_budget;
         ] );
-      ( "full set",
+      ( "victim",
         [
           QCheck_alcotest.to_alcotest full_set_agrees;
           Alcotest.test_case "scans only where sets share a policy" `Quick test_full_set_scans;
