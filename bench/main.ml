@@ -271,8 +271,12 @@ let telemetry_kernels =
    against the 1-domain run with `dsas_sim bench-diff`, which matches
    rows by name. *)
 let parallel_kernels ~domains =
-  let alloc_cfg = Parallel.Sharded.alloc_config ~ops_per_shard:50_000 ~seed:0 () in
-  let paging_cfg = Parallel.Sharded.paging_config ~refs_per_shard:2_000 ~seed:0 () in
+  let alloc =
+    Parallel.Sharded.(alloc (alloc_config ~ops_per_shard:50_000 ~seed:0 ()))
+  in
+  let paging =
+    Parallel.Sharded.(paging (paging_config ~refs_per_shard:2_000 ~seed:0 ()))
+  in
   let freestack_cycle =
     let st = Parallel.Freestack.create () in
     Parallel.Freestack.push st 1;
@@ -294,10 +298,10 @@ let parallel_kernels ~domains =
     Test.make ~name:"par/fixed-alloc cycle" (Staged.stage fixed_alloc_cycle);
     Test.make ~name:"par/alloc shards=4"
       (Staged.stage (fun () ->
-           ignore (Parallel.Sharded.run_alloc ~domains alloc_cfg)));
+           ignore (Parallel.Sharded.run ~domains alloc)));
     Test.make ~name:"par/paging shards=4"
       (Staged.stage (fun () ->
-           ignore (Parallel.Sharded.run_paging ~domains paging_cfg)));
+           ignore (Parallel.Sharded.run ~domains paging)));
   ]
 
 (* Throughput vs domains, 1 up to the machine's width (capped at the
@@ -309,12 +313,13 @@ let throughput_sweep ~quick () =
   let cfg = Parallel.Sharded.alloc_config ~ops_per_shard:50_000 ~seed:0 () in
   let reps = if quick then 3 else 10 in
   let max_domains = min (Parallel.Pool.available_domains ()) cfg.a_shards in
+  let alloc = Parallel.Sharded.alloc cfg in
   let time_at domains =
-    ignore (Parallel.Sharded.run_alloc ~domains cfg);
+    ignore (Parallel.Sharded.run ~domains alloc);
     (* lint: allow L1 — the sweep measures host throughput *)
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      ignore (Parallel.Sharded.run_alloc ~domains cfg)
+      ignore (Parallel.Sharded.run ~domains alloc)
     done;
     (* lint: allow L1 — the sweep measures host throughput *)
     (Unix.gettimeofday () -. t0) /. float_of_int reps

@@ -50,6 +50,12 @@ let seed_arg =
   in
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* --kill-shard, as `run x11_parallel` and multicore `chaos` take it. *)
+let parse_kill_shard spec =
+  Result.map_error
+    (Printf.sprintf "invalid --kill-shard %S; %s" spec)
+    (Parallel.Supervisor.parse_kills spec)
+
 let run_cmd =
   let doc = "Run one experiment (or all of them)." in
   let info = Cmd.info "run" ~doc in
@@ -168,39 +174,9 @@ let run_cmd =
        would have worked, exactly like a bad experiment id. *)
     let max_domains = Parallel.Pool.available_domains () in
     let kills =
-      (* "S@P[,S@P...]"; a shard's n-th listed kill targets its n-th
-         execution attempt. *)
       match kill_shard with
       | None -> Ok []
-      | Some spec ->
-        let attempts = Hashtbl.create 4 in
-        (try
-           Ok
-             (List.map
-                (fun part ->
-                  match String.split_on_char '@' (String.trim part) with
-                  | [ s; p ] ->
-                    let shard = int_of_string (String.trim s) in
-                    let progress = int_of_string (String.trim p) in
-                    if shard < 0 || progress < 1 then failwith "range";
-                    let attempt =
-                      try Hashtbl.find attempts shard with Not_found -> 0
-                    in
-                    Hashtbl.replace attempts shard (attempt + 1);
-                    {
-                      Parallel.Supervisor.k_shard = shard;
-                      k_attempt = attempt;
-                      k_progress = progress;
-                      k_stall = false;
-                    }
-                  | _ -> failwith "syntax")
-                (String.split_on_char ',' spec))
-         with _ ->
-           Error
-             (Printf.sprintf
-                "invalid --kill-shard %S; expected comma-separated S@P pairs \
-                 with shard S >= 0 and progress P >= 1 (e.g. 0@500,1@200,0@900)"
-                spec))
+      | Some spec -> parse_kill_shard spec
     in
     let domains_error =
       match domains with
@@ -1187,6 +1163,20 @@ let chaos_cmd =
                  successive attempts).")
   in
   let action quick runs seed trace_out domains kill_shard json =
+    let with_trace f =
+      let oc = Option.map open_out trace_out in
+      let trace = match oc with None -> Obs.Sink.null | Some oc -> Obs.Sink.jsonl oc in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Sink.flush trace;
+          Option.iter close_out oc)
+        (fun () -> f trace)
+    in
+    let finish ?domains summary =
+      match Resilience.Chaos.report ?domains ~json summary with
+      | Ok () -> `Ok ()
+      | Error msg -> `Error (false, msg)
+    in
     if runs < 1 then `Error (false, "--runs must be >= 1")
     else if domains = None && kill_shard <> None then
       `Error (false, "--kill-shard needs --domains (multicore chaos)")
@@ -1197,165 +1187,27 @@ let chaos_cmd =
           Printf.sprintf "invalid --domains %d; this machine supports 1..%d"
             n (Parallel.Pool.available_domains ()) )
     | Some domains ->
-      (* Multicore chaos: seeded shard-kill schedules through the
-         supervised sharded engines. *)
       let kills =
         match kill_shard with
         | None -> Ok None
-        | Some spec ->
-          let attempts = Hashtbl.create 4 in
-          (try
-             Ok
-               (Some
-                  (List.map
-                     (fun part ->
-                       match String.split_on_char '@' (String.trim part) with
-                       | [ s; p ] ->
-                         let shard = int_of_string (String.trim s) in
-                         let progress = int_of_string (String.trim p) in
-                         if shard < 0 || progress < 1 then failwith "range";
-                         let attempt =
-                           try Hashtbl.find attempts shard with Not_found -> 0
-                         in
-                         Hashtbl.replace attempts shard (attempt + 1);
-                         {
-                           Resilience.Chaos.sk_shard = shard;
-                           sk_attempt = attempt;
-                           sk_progress = progress;
-                           sk_stall = false;
-                         }
-                       | _ -> failwith "syntax")
-                     (String.split_on_char ',' spec)))
-           with _ ->
-             Error
-               (Printf.sprintf
-                  "invalid --kill-shard %S; expected comma-separated S@P pairs"
-                  spec))
+        | Some spec -> Result.map Option.some (parse_kill_shard spec)
       in
       (match kills with
        | Error msg -> `Error (false, msg)
        | Ok kills ->
-         let scenarios = Experiments.Par_chaos.scenarios ~quick ~domains () in
-         let oc = Option.map open_out trace_out in
-         let trace = match oc with None -> Obs.Sink.null | Some oc -> Obs.Sink.jsonl oc in
-         let summary =
-           Fun.protect
-             ~finally:(fun () ->
-               Obs.Sink.flush trace;
-               Option.iter close_out oc)
-             (fun () ->
-               Resilience.Chaos.run_sharded ~trace ?kills ~scenarios
-                 ~shards:Experiments.Par_chaos.shards
-                 ~steps:(Experiments.Par_chaos.steps ~quick) ~runs ~seed ())
-         in
-         let counter = Resilience.Chaos.sharded_counter summary in
-         if json then begin
-           let pair (k, v) = Printf.sprintf "%S:%d" k v in
-           Printf.printf
-             "{\"runs\":%d,\"seed\":%d,\"domains\":%d,\"events\":%d,\
-              \"violations\":%d,\"totals\":{%s}}\n"
-             runs seed domains summary.Resilience.Chaos.sr_total_events
-             summary.Resilience.Chaos.sr_violations
-             (String.concat ","
-                (List.map pair summary.Resilience.Chaos.sr_totals))
-         end
-         else begin
-           Printf.printf
-             "multicore chaos: %d runs over %d scenarios, seed %d, domains %d\n"
-             runs (List.length scenarios) seed domains;
-           Printf.printf "events: %d, invariant violations: %d\n"
-             summary.Resilience.Chaos.sr_total_events
-             summary.Resilience.Chaos.sr_violations;
-           print_endline "supervision totals:";
-           List.iter
-             (fun (k, v) -> Printf.printf "  %-20s %d\n" k v)
-             summary.Resilience.Chaos.sr_totals
-         end;
-         let violated =
-           List.filter
-             (fun (r : Resilience.Chaos.sharded_result) ->
-               not (Obs.Check.ok r.sr_check))
-             summary.Resilience.Chaos.sr_runs
-         in
-         List.iter
-           (fun (r : Resilience.Chaos.sharded_result) ->
-             Printf.printf "run %d (%s): INVARIANT VIOLATIONS\n" r.sr_index
-               r.sr_scenario;
-             Obs.Check.print r.sr_check)
-           violated;
-         if violated <> [] then
-           `Error
-             ( false,
-               Printf.sprintf
-                 "%d of %d multicore chaos runs violated trace invariants \
-                  (seed %d)"
-                 (List.length violated) runs seed )
-         else if counter "diverged" > 0 then
-           `Error
-             ( false,
-               Printf.sprintf
-                 "%d multicore chaos run(s) DIVERGED from the fault-free \
-                  reference (seed %d)"
-                 (counter "diverged") seed )
-         else if counter "escalated" > 0 then
-           `Error
-             ( false,
-               Printf.sprintf
-                 "%d multicore chaos run(s) escalated past the restart \
-                  budget (seed %d)"
-                 (counter "escalated") seed )
-         else `Ok ())
-    | None -> begin
-      let oc = Option.map open_out trace_out in
-      let trace = match oc with None -> Obs.Sink.null | Some oc -> Obs.Sink.jsonl oc in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Sink.flush trace;
-            Option.iter close_out oc)
-          (fun () ->
-            Resilience.Chaos.run ~trace
-              ~scenarios:(Experiments.X9_resilience.scenarios ~quick ())
-              ~runs ~seed ())
-      in
-      let violated =
-        List.filter
-          (fun (r : Resilience.Chaos.run_result) -> not (Obs.Check.ok r.check))
-          summary.Resilience.Chaos.runs
-      in
-      if json then begin
-        let counter (k, v) = Printf.sprintf "%S:%d" k v in
-        Printf.printf
-          "{\"runs\":%d,\"seed\":%d,\"events\":%d,\"violations\":%d,\"totals\":{%s}}\n"
-          runs seed summary.Resilience.Chaos.total_events
-          summary.Resilience.Chaos.violations
-          (String.concat "," (List.map counter summary.Resilience.Chaos.totals))
-      end
-      else begin
-        Printf.printf "chaos: %d runs over %d scenarios, seed %d\n" runs
-          (List.length (Experiments.X9_resilience.scenarios ~quick ()))
-          seed;
-        Printf.printf "events: %d, invariant violations: %d\n"
-          summary.Resilience.Chaos.total_events summary.Resilience.Chaos.violations;
-        print_endline "recovery totals:";
-        List.iter
-          (fun (k, v) -> Printf.printf "  %-20s %d\n" k v)
-          summary.Resilience.Chaos.totals
-      end;
-      match violated with
-      | [] -> `Ok ()
-      | vs ->
-        List.iter
-          (fun (r : Resilience.Chaos.run_result) ->
-            Printf.printf "run %d (%s): INVARIANT VIOLATIONS\n" r.Resilience.Chaos.index
-              r.Resilience.Chaos.scenario;
-            Obs.Check.print r.Resilience.Chaos.check)
-          vs;
-        `Error
-          ( false,
-            Printf.sprintf "%d of %d chaos runs violated trace invariants (seed %d)"
-              (List.length vs) runs seed )
-    end
+         finish ~domains
+           (with_trace (fun trace ->
+                Resilience.Chaos.run ~trace
+                  ~draw:(Experiments.Par_chaos.draw ?kills ~quick)
+                  ~scenarios:(Experiments.Par_chaos.scenarios ~quick ~domains ())
+                  ~runs ~seed ())))
+    | None ->
+      finish
+        (with_trace (fun trace ->
+             Resilience.Chaos.run ~trace ~count_boundaries:true
+               ~draw:Resilience.Chaos.schedule
+               ~scenarios:(Experiments.X9_resilience.scenarios ~quick ())
+               ~runs ~seed ()))
   in
   Cmd.v info
     Term.(

@@ -47,13 +47,9 @@ let take n items =
   go n [] items
 
 let read_error ~dir id =
-  match open_in_bin (Store.error_path ~dir id) with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some (String.trim s)
+  match Obs.File.read (Store.error_path ~dir id) with
+  | Ok s -> Some (String.trim s)
+  | Error _ -> None
 
 (* Runs in the child.  Any escape — an Error, an exception — lands in
    <id>.error.txt; the exit code tells the parent which way it went. *)

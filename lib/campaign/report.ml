@@ -209,18 +209,9 @@ let golden_to_json g =
       ("tolerance", Obs.Json.Float g.tolerance);
     ]
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
 let load_golden filename =
   let ( let* ) = Result.bind in
-  let* text = read_file filename in
+  let* text = Obs.File.read filename in
   match Obs.Json.parse_tree text with
   | None -> Error (Printf.sprintf "%s: malformed JSON" filename)
   | Some doc ->

@@ -213,17 +213,8 @@ let of_json text =
     let* () = validate t in
     Ok t
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
 let load filename =
-  match read_file filename with
+  match Obs.File.read filename with
   | Error msg -> Error msg
   | Ok text ->
     (match of_json text with

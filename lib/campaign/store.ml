@@ -45,15 +45,6 @@ let trace_path ~dir id = Filename.concat (cells_dir dir) (id ^ ".trace.jsonl")
 
 let error_path ~dir id = Filename.concat (cells_dir dir) (id ^ ".error.txt")
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
 let write_atomic path content =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -162,7 +153,7 @@ let record_start ~dir ~t id =
    append-only and a torn final line from a kill is expected. *)
 let statuses ~dir spec =
   let table = Hashtbl.create 64 in
-  (match read_file (log_path dir) with
+  (match Obs.File.read (log_path dir) with
    | Error _ -> ()
    | Ok text ->
      String.split_on_char '\n' text
@@ -210,7 +201,7 @@ type timing = { t_started : float option; t_finished : float option }
 let timings ~dir =
   let table : (string, timing) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  (match read_file (log_path dir) with
+  (match Obs.File.read (log_path dir) with
    | Error _ -> ()
    | Ok text ->
      String.split_on_char '\n' text
@@ -284,7 +275,7 @@ let flatten_metrics doc =
   @ section "histograms" (sub [ "p50"; "p90"; "p99"; "count" ])
 
 let load_metrics path =
-  match read_file path with
+  match Obs.File.read path with
   | Error msg -> Error msg
   | Ok text ->
     (match Obs.Json.parse_tree text with

@@ -489,16 +489,16 @@ let par_alloc_cell =
       Parallel.Sharded.alloc_config ~shards ~ops_per_shard:ops
         ~slots_per_shard:slots ~slot_words ~seed:ctx.seed ()
     in
-    let r = Parallel.Sharded.run_alloc ~obs:ctx.obs ~domains cfg in
+    let r = Parallel.Sharded.(run ~obs:ctx.obs ~domains (alloc cfg)) in
     let sum f =
       Array.fold_left
         (fun acc (s : Parallel.Sharded.shard_alloc) -> acc + f s)
-        0 r.Parallel.Sharded.ar_shards
+        0 r.r_shards
     in
     let elapsed =
       Array.fold_left
         (fun acc (s : Parallel.Sharded.shard_alloc) -> max acc s.sa_elapsed_us)
-        0 r.Parallel.Sharded.ar_shards
+        0 r.r_shards
     in
     Cell.count ctx "allocs" (sum (fun s -> s.sa_allocs));
     Cell.count ctx "frees" (sum (fun s -> s.sa_frees));
@@ -555,16 +555,16 @@ let par_paging_cell =
           ~frames_per_shard:frames ~pages_per_shard:pages ~policy:spec
           ~seed:ctx.seed ()
       in
-      let r = Parallel.Sharded.run_paging ~obs:ctx.obs ~domains cfg in
+      let r = Parallel.Sharded.(run ~obs:ctx.obs ~domains (paging cfg)) in
       let sum f =
         Array.fold_left
           (fun acc (s : Parallel.Sharded.shard_paging) -> acc + f s)
-          0 r.Parallel.Sharded.pr_shards
+          0 r.r_shards
       in
       let elapsed =
         Array.fold_left
           (fun acc (s : Parallel.Sharded.shard_paging) -> max acc s.sp_elapsed_us)
-          0 r.Parallel.Sharded.pr_shards
+          0 r.r_shards
       in
       Cell.count ctx "refs" (sum (fun s -> s.sp_refs));
       Cell.count ctx "faults" (sum (fun s -> s.sp_faults));
@@ -593,25 +593,6 @@ let par_paging_cell =
 (* --- par_chaos: supervised sharded engines under drawn kills --------- *)
 
 let par_chaos_cell =
-  let traces_equal a b =
-    Array.length a = Array.length b
-    && begin
-      let ok = ref true in
-      Array.iteri
-        (fun i ev ->
-          if
-            not
-              (String.equal (Obs.Event.to_json ev) (Obs.Event.to_json b.(i)))
-          then ok := false)
-        a;
-      !ok
-    end
-  in
-  let collector () =
-    let buf = ref [] in
-    let sink = Obs.Sink.collect (fun ev -> buf := ev :: !buf) in
-    (sink, fun () -> Array.of_list (List.rev !buf))
-  in
   let run (ctx : Cell.ctx) =
     let* () = Cell.check_known ctx [ "fault_rate"; "domains"; "shards"; "steps" ] in
     let* fault_rate = Cell.get_float ctx "fault_rate" ~default:0.5 in
@@ -654,48 +635,31 @@ let par_chaos_cell =
       and checkpoints = ref 0
       and escalated = ref 0
       and diverged = ref [] in
-      let tally name reference = function
+      let tally name (r : _ Parallel.Sharded.recovery) =
+        match r.subject with
         | Error (_ : Resilience.Failure.t) -> incr escalated
-        | Ok ((), outcomes, events) ->
+        | Ok s ->
           Array.iter
             (fun (o : Parallel.Supervisor.outcome) ->
               crashes := !crashes + o.o_crashes;
               restarts := !restarts + o.o_restarts;
               checkpoints := !checkpoints + o.o_checkpoints)
-            outcomes;
-          if not (traces_equal reference events) then
-            diverged := name :: !diverged
+            s.rc_outcomes;
+          if not r.identical then diverged := name :: !diverged
       in
-      let supervised runner =
-        let sink, contents = collector () in
-        match runner ~obs:sink with
-        | Error f -> Error f
-        | Ok (_, outcomes) -> Ok ((), outcomes, contents ())
+      let check w =
+        Parallel.Sharded.recovery_check ~kills ~checkpoint_every:32 ~domains w
       in
-      let acfg =
-        Parallel.Sharded.alloc_config ~shards ~ops_per_shard:steps
-          ~slots_per_shard:64 ~slot_words:8 ~seed:ctx.seed ()
-      in
-      let pcfg =
-        Parallel.Sharded.paging_config ~shards ~refs_per_shard:steps
-          ~frames_per_shard:6 ~pages_per_shard:12 ~seed:ctx.seed ()
-      in
-      let a_sink, a_ref = collector () in
-      let (_ : Parallel.Sharded.alloc_report) =
-        Parallel.Sharded.run_alloc ~obs:a_sink ~domains:1 acfg
-      in
-      let p_sink, p_ref = collector () in
-      let (_ : Parallel.Sharded.paging_report) =
-        Parallel.Sharded.run_paging ~obs:p_sink ~domains:1 pcfg
-      in
-      tally "alloc" (a_ref ())
-        (supervised (fun ~obs ->
-             Parallel.Sharded.run_alloc_supervised ~obs ~kills
-               ~checkpoint_every:32 ~domains acfg));
-      tally "paging" (p_ref ())
-        (supervised (fun ~obs ->
-             Parallel.Sharded.run_paging_supervised ~obs ~kills
-               ~checkpoint_every:32 ~domains pcfg));
+      tally "alloc"
+        (check
+           (Parallel.Sharded.alloc
+              (Parallel.Sharded.alloc_config ~shards ~ops_per_shard:steps
+                 ~slots_per_shard:64 ~slot_words:8 ~seed:ctx.seed ())));
+      tally "paging"
+        (check
+           (Parallel.Sharded.paging
+              (Parallel.Sharded.paging_config ~shards ~refs_per_shard:steps
+                 ~frames_per_shard:6 ~pages_per_shard:12 ~seed:ctx.seed ())));
       Cell.count ctx "kills" (List.length kills);
       Cell.count ctx "crashes" !crashes;
       Cell.count ctx "restarts" !restarts;

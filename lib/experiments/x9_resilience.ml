@@ -184,9 +184,7 @@ let measure_writes ?(quick = false) ?seed () =
 (* --- chaos scenarios (closures handed to Resilience.Chaos) --- *)
 
 let demand_scenario ~name ~recovery ~quick =
-  {
-    Resilience.Chaos.name;
-    run =
+  Resilience.Chaos.device ~name
       (fun ~seed ~fault ~obs ->
         let refs = if quick then 300 else 800 in
         let trace = demand_trace ~seed ~refs () in
@@ -219,13 +217,10 @@ let demand_scenario ~name ~recovery ~quick =
           ("surfaced", !surfaced);
           ("injected", stats.Device.Model.injected);
           ("write_rolls_skipped", stats.Device.Model.write_rolls_skipped);
-        ]);
-  }
+        ])
 
 let swapper_scenario ~quick =
-  {
-    Resilience.Chaos.name = "swapper-mirror-write";
-    run =
+  Resilience.Chaos.device ~name:"swapper-mirror-write"
       (fun ~seed ~fault ~obs:_ ->
         let rng = Sim.Rng.create seed in
         (* Varied sizes fragment core, so placement failures exercise
@@ -284,13 +279,10 @@ let swapper_scenario ~quick =
           ("surfaced", !surfaced);
           ("mirror_writes", Swapping.Swapper.mirror_writes swapper);
           ("compactions", Swapping.Swapper.compactions swapper);
-        ]);
-  }
+        ])
 
 let multiprog_scenario ~quick =
-  {
-    Resilience.Chaos.name = "multiprog-restart";
-    run =
+  Resilience.Chaos.device ~name:"multiprog-restart"
       (fun ~seed ~fault ~obs ->
         let refs_per_job = if quick then 120 else 400 in
         (* The model gets no sink: its io timestamps run ahead of the
@@ -317,8 +309,7 @@ let multiprog_scenario ~quick =
           ("jobs_failed", report.Dsas.Multiprog.jobs_failed);
           ("load_sheds", Resilience.Controller.sheds controller);
           ("load_admits", Resilience.Controller.admits controller);
-        ]);
-  }
+        ])
 
 let scenarios ?(quick = false) () =
   [

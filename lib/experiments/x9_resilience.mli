@@ -46,7 +46,8 @@ val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 
 val measure_writes : ?quick:bool -> ?seed:int -> unit -> write_row list
 
-val scenarios : ?quick:bool -> unit -> Resilience.Chaos.scenario list
+val scenarios :
+  ?quick:bool -> unit -> Device.Fault.config Resilience.Chaos.scenario list
 (** The four chaos scenarios: demand paging under [Mirror] and
     [Surface] recovery, the swapper's mirrored write-outs and surfaced
     swap-in failures, and the multiprogrammed scheduler's bounded

@@ -178,17 +178,8 @@ let lint_source ?(config = default_config) ~file source =
     in
     List.sort Diagnostic.compare (diagnostics @ pragma_problems)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    Ok content
-
 let lint_file ?config path =
-  match read_file path with
+  match Obs.File.read path with
   | Error msg ->
     [ { Diagnostic.file = path; line = 1; col = 0; code = Diagnostic.Parse_error;
         message = msg } ]

@@ -31,17 +31,8 @@ let to_json r =
       ("results", Json.Raw (Json.array (List.map result_obj r.results)));
     ]
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
 let load filename =
-  match read_file filename with
+  match File.read filename with
   | Error msg -> Error msg
   | Ok text ->
     (match Json.parse_tree text with

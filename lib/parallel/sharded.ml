@@ -6,11 +6,11 @@
 
    Supervision.  Every body is written against a [tick] callback
    (called once per workload step with the shard's clock and a lazy
-   snapshot) and a [resume] checkpoint.  The plain entry points pass a
-   no-op tick and no checkpoint, so they run the exact same code the
-   unsupervised engines always ran; the [_supervised] entry points
-   wire tick to Supervisor.step, which is what turns the same body
-   into a crash-restartable one.  A zero-fault supervised run is
+   snapshot) and a [resume] checkpoint.  The plain driver [run] passes
+   a no-op tick and no checkpoint, so it runs the exact same code the
+   unsupervised engines always ran; [run_supervised] wires tick to
+   Supervisor.step, which is what turns the same body into a
+   crash-restartable one.  A zero-fault supervised run is
    byte-identical to the unsupervised run by construction. *)
 
 (* Per-site rng defaults: distinct streams per shard under one master
@@ -33,6 +33,28 @@ let buffer_sink ?(init = [||]) () =
   (sink, contents)
 
 let noop_tick ~clock_us:_ ~snapshot:_ = ()
+
+(* A workload is its shard count and one body per shard.  The body
+   returns the shard's report row and its buffered (relabelled) event
+   stream; the drivers below are the only code that maps bodies over
+   the pool, merges their streams and assembles a report. *)
+type tick = clock_us:int -> snapshot:(unit -> Supervisor.snap) -> unit
+
+type 's workload = {
+  w_shards : int;
+  w_body :
+    traced:bool ->
+    tick:tick ->
+    resume:Checkpoint.state option ->
+    int ->
+    's * Obs.Event.t array;
+}
+
+type 's report = {
+  r_shards : 's array;
+  r_events : int;
+  r_telemetry : Obs.Telemetry.snapshot array;
+}
 
 (* Per-shard telemetry is derived from the buffered event stream
    (Obs.Telemetry.of_events) after the shard body finishes, not
@@ -107,12 +129,6 @@ type shard_alloc = {
   sa_live : int;
   sa_elapsed_us : int;
   sa_events : int;
-}
-
-type alloc_report = {
-  ar_shards : shard_alloc array;
-  ar_events : int;
-  ar_telemetry : Obs.Telemetry.snapshot array;
 }
 
 (* Rebuild the arena and live set from a checkpoint payload
@@ -217,25 +233,7 @@ let alloc_shard_run cfg ~traced ~tick ~resume shard =
       sa_events = Array.length events },
     events )
 
-let alloc_shard cfg ~traced shard =
-  alloc_shard_run cfg ~traced ~tick:noop_tick ~resume:None shard
-
-let run_alloc ?(obs = Obs.Sink.null) ?telemetry ~domains cfg =
-  if domains < 1 then invalid_arg "Sharded.run_alloc: domains < 1";
-  (match telemetry with
-   | Some e when e < 1 -> invalid_arg "Sharded.run_alloc: telemetry cadence < 1"
-   | _ -> ());
-  let traced = Obs.Sink.is_active obs || telemetry <> None in
-  let per_shard =
-    Pool.map_shards ~domains ~shards:cfg.a_shards (fun shard ->
-        let report, events = alloc_shard cfg ~traced shard in
-        (report, events, shard_telemetry ~telemetry ~shard events))
-  in
-  let streams = Array.map (fun (_, ev, _) -> ev) per_shard in
-  let emitted = Obs.Merge.emit ~into:obs streams in
-  { ar_shards = Array.map (fun (r, _, _) -> r) per_shard;
-    ar_events = emitted;
-    ar_telemetry = Obs.Telemetry.merge (Array.map (fun (_, _, t) -> t) per_shard) }
+let alloc cfg = { w_shards = cfg.a_shards; w_body = alloc_shard_run cfg }
 
 (* {2 Demand paging} *)
 
@@ -270,12 +268,6 @@ type shard_paging = {
   sp_writebacks : int;
   sp_elapsed_us : int;
   sp_events : int;
-}
-
-type paging_report = {
-  pr_shards : shard_paging array;
-  pr_events : int;
-  pr_telemetry : Obs.Telemetry.snapshot array;
 }
 
 (* Relabel a shard-local event into the shard's global ranges: pages
@@ -315,7 +307,7 @@ let req_stride cfg = (4 * cfg.p_refs_per_shard) + 16
    clock, RNG stream, event count and fault/writeback digest against
    the checkpoint before emitting the suffix.  Any disagreement means
    the checkpoint cannot be trusted — Inconsistent poisons it. *)
-let paging_shard_run cfg ~traced ~counting ~tick ~resume shard =
+let paging_shard_run cfg ~traced ~tick ~resume shard =
   let rng = Sim.Rng.derive ~override:cfg.p_seed (paging_rng_site shard) in
   let clock = Sim.Clock.create () in
   let pages = cfg.p_pages_per_shard in
@@ -336,11 +328,9 @@ let paging_shard_run cfg ~traced ~counting ~tick ~resume shard =
   let emitting = ref (start = 0) in
   let suppressed = ref 0 in
   let obs =
-    if traced || counting then
+    if traced then
       Obs.Sink.collect (fun ev ->
-          if !emitting then begin
-            if traced then Obs.Sink.emit sink (relabel ~page_off ~req_off ev)
-          end
+          if !emitting then Obs.Sink.emit sink (relabel ~page_off ~req_off ev)
           else incr suppressed)
     else Obs.Sink.null
   in
@@ -425,30 +415,45 @@ let paging_shard_run cfg ~traced ~counting ~tick ~resume shard =
       sp_events = Array.length events },
     events )
 
-let paging_shard cfg ~traced shard =
-  paging_shard_run cfg ~traced ~counting:false ~tick:noop_tick ~resume:None shard
+let paging cfg = { w_shards = cfg.p_shards; w_body = paging_shard_run cfg }
 
-let run_paging ?(obs = Obs.Sink.null) ?telemetry ~domains cfg =
-  if domains < 1 then invalid_arg "Sharded.run_paging: domains < 1";
-  (match telemetry with
-   | Some e when e < 1 -> invalid_arg "Sharded.run_paging: telemetry cadence < 1"
-   | _ -> ());
+(* {2 Drivers} *)
+
+let check_width fn ~domains ~telemetry =
+  if domains < 1 then invalid_arg (fn ^ ": domains < 1");
+  match telemetry with
+  | Some e when e < 1 -> invalid_arg (fn ^ ": telemetry cadence < 1")
+  | _ -> ()
+
+(* The join: merge the shard streams into [obs] and assemble the
+   report from the shard rows and their telemetry streams. *)
+let assemble ~obs rows streams tele =
+  { r_shards = rows;
+    r_events = Obs.Merge.emit ~into:obs streams;
+    r_telemetry = Obs.Telemetry.merge tele }
+
+let run ?(obs = Obs.Sink.null) ?telemetry ~domains w =
+  check_width "Sharded.run" ~domains ~telemetry;
   let traced = Obs.Sink.is_active obs || telemetry <> None in
   let per_shard =
-    Pool.map_shards ~domains ~shards:cfg.p_shards (fun shard ->
-        let report, events = paging_shard cfg ~traced shard in
-        (report, events, shard_telemetry ~telemetry ~shard events))
+    Pool.map_shards ~domains ~shards:w.w_shards (fun shard ->
+        let row, events =
+          w.w_body ~traced ~tick:noop_tick ~resume:None shard
+        in
+        (row, events, shard_telemetry ~telemetry ~shard events))
   in
-  let streams = Array.map (fun (_, ev, _) -> ev) per_shard in
-  let emitted = Obs.Merge.emit ~into:obs streams in
-  { pr_shards = Array.map (fun (r, _, _) -> r) per_shard;
-    pr_events = emitted;
-    pr_telemetry = Obs.Telemetry.merge (Array.map (fun (_, _, t) -> t) per_shard) }
+  assemble ~obs
+    (Array.map (fun (r, _, _) -> r) per_shard)
+    (Array.map (fun (_, ev, _) -> ev) per_shard)
+    (Array.map (fun (_, _, t) -> t) per_shard)
 
-(* {2 Supervised execution} *)
-
-let run_supervised ~policy ~kills ~checkpoint_every ~checkpoint_dir ~domains
-    ~shards ~body =
+let run_supervised ?(obs = Obs.Sink.null) ?(supervision = Obs.Sink.null)
+    ?telemetry ?(watch = []) ?(policy = Supervisor.policy ()) ?(kills = [])
+    ?(checkpoint_every = 512) ?checkpoint_dir ~domains w =
+  check_width "Sharded.run_supervised" ~domains ~telemetry;
+  if watch <> [] && telemetry = None then
+    invalid_arg "Sharded.run_supervised: watch rules need a telemetry cadence";
+  let traced = Obs.Sink.is_active obs || telemetry <> None in
   (match checkpoint_dir with
    | Some d when not (Sys.file_exists d) ->
      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
@@ -459,84 +464,82 @@ let run_supervised ~policy ~kills ~checkpoint_every ~checkpoint_dir ~domains
     | ks -> Supervisor.inject_of_kills ks
   in
   let per =
-    Pool.map_shards ~domains ~shards (fun shard ->
+    Pool.map_shards ~domains ~shards:w.w_shards (fun shard ->
         let store = Checkpoint.store ?dir:checkpoint_dir ~shard () in
         Supervisor.supervise ~policy ~inject ~checkpoint_every ~store ~shard
           ~run:(fun ~resume ctl ->
-            body shard ~resume
+            w.w_body ~traced ~resume shard
               ~tick:(fun ~clock_us ~snapshot ->
                 Supervisor.step ctl ~clock_us ~snapshot)))
   in
   (* First escalation (by shard index) wins; no partial emission. *)
-  let err =
-    Array.fold_left
-      (fun acc r ->
-        match (acc, r) with None, Error f -> Some f | _, _ -> acc)
-      None per
-  in
-  match err with
+  match Array.find_map (function Error f -> Some f | Ok _ -> None) per with
   | Some f -> Error f
   | None ->
-    Ok (Array.map (function Ok v -> v | Error _ -> assert false) per)
-
-let run_alloc_supervised ?(obs = Obs.Sink.null) ?(supervision = Obs.Sink.null)
-    ?telemetry ?(watch = []) ?(policy = Supervisor.policy ()) ?(kills = [])
-    ?(checkpoint_every = 512) ?checkpoint_dir ~domains cfg =
-  if domains < 1 then invalid_arg "Sharded.run_alloc_supervised: domains < 1";
-  if watch <> [] && telemetry = None then
-    invalid_arg "Sharded.run_alloc_supervised: watch rules need a telemetry cadence";
-  let traced = Obs.Sink.is_active obs || telemetry <> None in
-  match
-    run_supervised ~policy ~kills ~checkpoint_every ~checkpoint_dir ~domains
-      ~shards:cfg.a_shards
-      ~body:(fun shard ~resume ~tick ->
-        alloc_shard_run cfg ~traced ~tick ~resume shard)
-  with
-  | Error _ as e -> e
-  | Ok per ->
+    let per = Array.map (function Ok v -> v | Error _ -> assert false) per in
     let streams = Array.map (fun ((_, ev), _) -> ev) per in
     let tele = Array.mapi (fun shard ev -> shard_telemetry ~telemetry ~shard ev) streams in
     (match watchdog_failure watch tele with
      | Some f -> Error f
      | None ->
-       let emitted = Obs.Merge.emit ~into:obs streams in
-       let sup_streams =
-         Array.map (fun (_, o) -> o.Supervisor.o_events) per
+       let report =
+         assemble ~obs (Array.map (fun ((r, _), _) -> r) per) streams tele
        in
-       let (_ : int) = Obs.Merge.emit ~into:supervision sup_streams in
-       Ok
-         ( { ar_shards = Array.map (fun ((r, _), _) -> r) per;
-             ar_events = emitted;
-             ar_telemetry = Obs.Telemetry.merge tele },
-           Array.map snd per ))
+       let outcomes = Array.map snd per in
+       let (_ : int) =
+         Obs.Merge.emit ~into:supervision
+           (Array.map (fun o -> o.Supervisor.o_events) outcomes)
+       in
+       Ok (report, outcomes))
 
-let run_paging_supervised ?(obs = Obs.Sink.null) ?(supervision = Obs.Sink.null)
-    ?telemetry ?(watch = []) ?(policy = Supervisor.policy ()) ?(kills = [])
-    ?(checkpoint_every = 512) ?checkpoint_dir ~domains cfg =
-  if domains < 1 then invalid_arg "Sharded.run_paging_supervised: domains < 1";
-  if watch <> [] && telemetry = None then
-    invalid_arg "Sharded.run_paging_supervised: watch rules need a telemetry cadence";
-  let traced = Obs.Sink.is_active obs || telemetry <> None in
-  match
-    run_supervised ~policy ~kills ~checkpoint_every ~checkpoint_dir ~domains
-      ~shards:cfg.p_shards
-      ~body:(fun shard ~resume ~tick ->
-        paging_shard_run cfg ~traced ~counting:true ~tick ~resume shard)
-  with
-  | Error _ as e -> e
-  | Ok per ->
-    let streams = Array.map (fun ((_, ev), _) -> ev) per in
-    let tele = Array.mapi (fun shard ev -> shard_telemetry ~telemetry ~shard ev) streams in
-    (match watchdog_failure watch tele with
-     | Some f -> Error f
-     | None ->
-       let emitted = Obs.Merge.emit ~into:obs streams in
-       let sup_streams =
-         Array.map (fun (_, o) -> o.Supervisor.o_events) per
-       in
-       let (_ : int) = Obs.Merge.emit ~into:supervision sup_streams in
-       Ok
-         ( { pr_shards = Array.map (fun ((r, _), _) -> r) per;
-             pr_events = emitted;
-             pr_telemetry = Obs.Telemetry.merge tele },
-           Array.map snd per ))
+(* {2 The recovery check} *)
+
+type recovered = {
+  rc_events : Obs.Event.t array;
+  rc_outcomes : Supervisor.outcome array;
+  rc_supervision : Obs.Event.t array;
+}
+
+type 's recovery = {
+  reference : 's report;
+  reference_events : Obs.Event.t array;
+  subject : (recovered, Resilience.Failure.t) result;
+  identical : bool;
+}
+
+let collector () =
+  let buf = ref [] in
+  ( Obs.Sink.collect (fun ev -> buf := ev :: !buf),
+    fun () -> Array.of_list (List.rev !buf) )
+
+(* Byte for byte on the wire encoding: the same bytes a --trace file
+   would hold. *)
+let same_bytes a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> String.equal (Obs.Event.to_json x) (Obs.Event.to_json y))
+       a b
+
+let recovery_check ?kills ~checkpoint_every ~domains w =
+  let ref_sink, ref_events = collector () in
+  let reference = run ~obs:ref_sink ~domains:1 w in
+  let reference_events = ref_events () in
+  let sink, events = collector () in
+  let sup, sup_events = collector () in
+  let subject =
+    match
+      run_supervised ~obs:sink ~supervision:sup ?kills ~checkpoint_every ~domains w
+    with
+    | Error f -> Error f
+    | Ok (_, outcomes) ->
+      Ok
+        { rc_events = events ();
+          rc_outcomes = outcomes;
+          rc_supervision = sup_events () }
+  in
+  let identical =
+    match subject with
+    | Ok s -> same_bytes reference_events s.rc_events
+    | Error _ -> false
+  in
+  { reference; reference_events; subject; identical }

@@ -29,6 +29,24 @@
     {!Obs.Check} as one run segment: residency, io pairing and
     first-touch accounting never collide across shards. *)
 
+(** {2 Workloads and reports} *)
+
+type 's workload
+(** A sharded workload: its shard count and one body per shard, each
+    returning the shard's report row (['s]) and its buffered event
+    stream.  Built by {!alloc} and {!paging}; run by {!run} and
+    {!run_supervised}. *)
+
+type 's report = {
+  r_shards : 's array;  (** one row per shard, in shard order *)
+  r_events : int;
+      (** events in the merged stream (0 when neither trace nor
+          telemetry was requested) *)
+  r_telemetry : Obs.Telemetry.snapshot array;
+      (** merged per-shard telemetry ({!Obs.Telemetry.merge} order);
+          [[||]] when no cadence was requested *)
+}
+
 (** {2 Fixed-size allocation (the lock-free engine)} *)
 
 type alloc_config = {
@@ -63,28 +81,10 @@ type shard_alloc = {
   sa_events : int;  (** events this shard contributed to the trace *)
 }
 
-type alloc_report = {
-  ar_shards : shard_alloc array;  (** in shard order *)
-  ar_events : int;
-      (** events in the merged stream (0 when neither trace nor
-          telemetry was requested) *)
-  ar_telemetry : Obs.Telemetry.snapshot array;
-      (** merged per-shard telemetry ({!Obs.Telemetry.merge} order);
-          [[||]] when no cadence was requested *)
-}
-
-val run_alloc :
-  ?obs:Obs.Sink.t -> ?telemetry:int -> domains:int -> alloc_config -> alloc_report
-(** Run the workload: each shard drives a private {!Fixed_alloc} over
-    its arena with a mixed alloc/free stream (holding roughly half the
-    arena live), buffering [Alloc]/[Free] events when [obs] is active.
-    [telemetry] (a cadence in simulated µs) additionally derives each
-    shard's {!Obs.Telemetry} snapshot stream from its buffered events
-    — on the shard's own domain — and merges them into
-    [ar_telemetry]; it forces event buffering even when [obs] is
-    inactive.  The report, the merged stream, and the merged telemetry
-    are bit-identical for any [domains >= 1].  Raises
-    [Invalid_argument] if [domains < 1]. *)
+val alloc : alloc_config -> shard_alloc workload
+(** Each shard drives a private {!Fixed_alloc} over its arena with a
+    mixed alloc/free stream (holding roughly half the arena live),
+    buffering [Alloc]/[Free] events when traced. *)
 
 (** {2 Demand paging} *)
 
@@ -122,23 +122,28 @@ type shard_paging = {
   sp_events : int;
 }
 
-type paging_report = {
-  pr_shards : shard_paging array;
-  pr_events : int;
-  pr_telemetry : Obs.Telemetry.snapshot array;
-}
-
-val run_paging :
-  ?obs:Obs.Sink.t -> ?telemetry:int -> domains:int -> paging_config -> paging_report
+val paging : paging_config -> shard_paging workload
 (** Each shard builds a fresh {!Paging.Spec.build} engine on its own
     clock and drives it over a phase-structured reference trace derived
     from the shard's RNG stream.  Events are relabelled into the
-    shard's global page and request-id ranges at buffering time.  Same
-    determinism and [telemetry] contract as {!run_alloc}. *)
+    shard's global page and request-id ranges at buffering time. *)
+
+(** {2 Plain execution} *)
+
+val run :
+  ?obs:Obs.Sink.t -> ?telemetry:int -> domains:int -> 's workload -> 's report
+(** Run every shard body on a pool of [domains] domains and merge the
+    buffered streams into [obs].  [telemetry] (a cadence in simulated
+    µs) additionally derives each shard's {!Obs.Telemetry} snapshot
+    stream from its buffered events — on the shard's own domain — and
+    merges them into [r_telemetry]; it forces event buffering even
+    when [obs] is inactive.  The report, the merged stream, and the
+    merged telemetry are bit-identical for any [domains >= 1].  Raises
+    [Invalid_argument] if [domains < 1] or the cadence is below 1. *)
 
 (** {2 Supervised execution}
 
-    The [_supervised] entry points run the exact same shard bodies
+    {!run_supervised} runs the exact same shard bodies
     under {!Supervisor.supervise}: per-shard bounded restarts from
     {!Checkpoint} state, deterministic fault injection via [kills],
     and typed escalation.  Guarantees, for every [domains >= 1] and
@@ -162,7 +167,7 @@ val run_paging :
     checkpointing).  With [checkpoint_dir], checkpoints are mirrored
     to [DIR/shard<N>.ckpt] with atomic tmp+rename writes.
 
-    [telemetry] behaves as in {!run_alloc}; because the snapshots are
+    [telemetry] behaves as in {!run}; because the snapshots are
     derived from the recovered event streams after the join, a
     crash-recovered run's telemetry is bit-identical to the fault-free
     run's by construction.  [watch] (requires [telemetry]) evaluates
@@ -173,7 +178,7 @@ val run_paging :
     to [obs], the same no-partial-emission discipline as crash
     escalation. *)
 
-val run_alloc_supervised :
+val run_supervised :
   ?obs:Obs.Sink.t ->
   ?supervision:Obs.Sink.t ->
   ?telemetry:int ->
@@ -183,18 +188,37 @@ val run_alloc_supervised :
   ?checkpoint_every:int ->
   ?checkpoint_dir:string ->
   domains:int ->
-  alloc_config ->
-  (alloc_report * Supervisor.outcome array, Resilience.Failure.t) result
+  's workload ->
+  ('s report * Supervisor.outcome array, Resilience.Failure.t) result
 
-val run_paging_supervised :
-  ?obs:Obs.Sink.t ->
-  ?supervision:Obs.Sink.t ->
-  ?telemetry:int ->
-  ?watch:Obs.Watch.rule list ->
-  ?policy:Supervisor.policy ->
+(** {2 The recovery check}
+
+    The determinism contract, checked on the spot: run the workload
+    unsupervised at width 1 (the reference), rerun it supervised at
+    [domains] under [kills], and compare the two merged engine traces
+    byte for byte on their JSONL encoding.  [x11_parallel], multicore
+    chaos and the [par_chaos] campaign cell all go through this one
+    function. *)
+
+type recovered = {
+  rc_events : Obs.Event.t array;  (** the subject's merged engine trace *)
+  rc_outcomes : Supervisor.outcome array;  (** per shard, in shard order *)
+  rc_supervision : Obs.Event.t array;  (** the merged supervision stream *)
+}
+
+type 's recovery = {
+  reference : 's report;  (** the width-1 unsupervised report *)
+  reference_events : Obs.Event.t array;  (** its merged engine trace *)
+  subject : (recovered, Resilience.Failure.t) result;
+      (** the supervised rerun, or the typed escalation that ended it *)
+  identical : bool;
+      (** the subject's engine trace is byte-identical to the
+          reference's; [false] when the subject escalated *)
+}
+
+val recovery_check :
   ?kills:Supervisor.kill list ->
-  ?checkpoint_every:int ->
-  ?checkpoint_dir:string ->
+  checkpoint_every:int ->
   domains:int ->
-  paging_config ->
-  (paging_report * Supervisor.outcome array, Resilience.Failure.t) result
+  's workload ->
+  's recovery

@@ -48,6 +48,35 @@ let inject_of_kills kills ~shard ~attempt ~progress =
   | Some k -> Some (if k.k_stall then Stall else Crash)
   | None -> None
 
+(* "S@P[,S@P...]": kill shard S after workload step P; a shard's n-th
+   listed kill targets its n-th execution attempt. *)
+let parse_kills spec =
+  let int_part s = int_of_string_opt (String.trim s) in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest ->
+      (match String.split_on_char '@' (String.trim part) with
+       | [ s; p ] ->
+         (match (int_part s, int_part p) with
+          | Some shard, Some progress when shard >= 0 && progress >= 1 ->
+            let attempt =
+              List.length (List.filter (fun k -> k.k_shard = shard) acc)
+            in
+            go
+              ({ k_shard = shard; k_attempt = attempt; k_progress = progress;
+                 k_stall = false }
+               :: acc)
+              rest
+          | _ -> Error ())
+       | _ -> Error ())
+  in
+  match go [] (String.split_on_char ',' spec) with
+  | Ok kills -> Ok kills
+  | Error () ->
+    Error
+      "expected comma-separated S@P pairs with shard S >= 0 and progress P >= 1 \
+       (e.g. 0@500,1@200,0@900)"
+
 type snap = {
   sn_clock_us : int;
   sn_rng : int64;

@@ -51,6 +51,14 @@ val inject_of_kills :
 (** Fault schedule from an explicit kill list: fires when shard,
     attempt and progress all match. *)
 
+val parse_kills : string -> (kill list, string) result
+(** Parse a kill schedule written [S@P,S@P,...]: kill shard [S >= 0]
+    after it completes workload step [P >= 1].  Repeating a shard
+    targets its successive execution attempts in the order listed;
+    parsed kills are crashes, never stalls.  Malformed input — a part
+    without exactly one [@], a non-integer, an integer out of range —
+    is an [Error] naming the expected form, never an exception. *)
+
 type snap = {
   sn_clock_us : int;  (** the shard's virtual clock now *)
   sn_rng : int64;  (** {!Sim.Rng.state} of the shard's stream *)

@@ -1,23 +1,23 @@
-type scenario = {
+type segment = { config : string; events : Obs.Event.t list }
+
+type 'fault scenario = {
   name : string;
-  run :
-    seed:int ->
-    fault:Device.Fault.config ->
-    obs:Obs.Sink.t ->
-    (string * int) list;
+  run : seed:int -> fault:'fault -> (string * int) list * segment list;
 }
 
-type run_result = {
+type 'fault run_result = {
   scenario : string;
   index : int;
-  fault : Device.Fault.config;
+  fault : 'fault;
   counters : (string * int) list;
   events : int;
   check : Obs.Check.report;
 }
 
-type summary = {
-  runs : run_result list;
+type 'fault summary = {
+  runs : 'fault run_result list;
+  seed : int;
+  scenarios : int;
   total_events : int;
   violations : int;
   totals : (string * int) list;  (* counters summed across runs, first-seen order *)
@@ -37,6 +37,18 @@ let schedule rng =
     ~max_retries ~write_error_prob ~permanent_prob ~on_exhausted:Device.Fault.Fail
     ~read_error_prob ()
 
+let device ~name run =
+  {
+    name;
+    run =
+      (fun ~seed ~fault ->
+        let buffer = ref [] in
+        let counters =
+          run ~seed ~fault ~obs:(Obs.Sink.collect (fun ev -> buffer := ev :: !buffer))
+        in
+        (counters, [ { config = "chaos scenario=" ^ name; events = List.rev !buffer } ]));
+  }
+
 let add_counters totals counters =
   List.fold_left
     (fun totals (k, v) ->
@@ -45,42 +57,48 @@ let add_counters totals counters =
       | None -> totals @ [ (k, v) ])
     totals counters
 
-let run ?(trace = Obs.Sink.null) ?progress ~scenarios ~runs ~seed () =
+let run ?(trace = Obs.Sink.null) ?progress ?(count_boundaries = false) ~draw
+    ~scenarios ~runs ~seed () =
   assert (runs >= 1 && scenarios <> []);
   let rng = Sim.Rng.create seed in
   let n = List.length scenarios in
   let results = ref [] in
   let offset = ref 0 in
+  let next_run = ref 0 in
+  (* Splice one segment at the current offset: its run_start boundary
+     and its events, shifted; the next segment starts one microsecond
+     past the latest stamp. *)
+  let splice ~seed (seg : segment) =
+    let buffer = ref [] in
+    let s =
+      Obs.Sink.segment ~seed ~config:seg.config ~run:!next_run ~offset:!offset
+        (Obs.Sink.collect (fun ev -> buffer := ev :: !buffer))
+    in
+    List.iter (Obs.Sink.emit s) seg.events;
+    incr next_run;
+    let spliced = List.rev !buffer in
+    offset :=
+      List.fold_left (fun acc (ev : Obs.Event.t) -> max acc ev.t_us) !offset spliced + 1;
+    spliced
+  in
   for index = 0 to runs - 1 do
     let scenario = List.nth scenarios (index mod n) in
-    let fault = schedule rng in
+    let fault = draw rng in
     let run_seed = Sim.Rng.int rng 0x3FFFFFFF in
-    let buffer = ref [] in
-    let collect = Obs.Sink.collect (fun ev -> buffer := ev :: !buffer) in
-    (* One segment per run splices everything — the collected stream
-       and the optional JSONL trace — into one monotone multi-run
-       stream that Obs.Check can scope. *)
-    let obs =
-      Obs.Sink.segment ~seed:run_seed
-        ~config:("chaos scenario=" ^ scenario.name)
-        ~run:index ~offset:!offset
-        (Obs.Sink.tee collect trace)
+    let counters, segments = scenario.run ~seed:run_seed ~fault in
+    let spliced = List.concat_map (splice ~seed:run_seed) segments in
+    List.iter (Obs.Sink.emit trace) spliced;
+    let events =
+      List.length spliced - if count_boundaries then 0 else List.length segments
     in
-    let counters = scenario.run ~seed:run_seed ~fault ~obs in
-    let events = List.rev !buffer in
-    List.iter
-      (fun (ev : Obs.Event.t) -> if ev.t_us > !offset then offset := ev.t_us)
-    events;
-    incr offset;
-    let check = Obs.Check.check_events events in
     results :=
       {
         scenario = scenario.name;
         index;
         fault;
         counters;
-        events = List.length events;
-        check;
+        events;
+        check = Obs.Check.check_events spliced;
       }
       :: !results;
     (match progress with Some f -> f index | None -> ())
@@ -91,6 +109,8 @@ let run ?(trace = Obs.Sink.null) ?progress ~scenarios ~runs ~seed () =
   in
   {
     runs;
+    seed;
+    scenarios = n;
     total_events = List.fold_left (fun acc r -> acc + r.events) 0 runs;
     violations = List.fold_left (fun acc r -> acc + violation_count r.check) 0 runs;
     totals = List.fold_left (fun acc r -> add_counters acc r.counters) [] runs;
@@ -100,146 +120,42 @@ let ok s = s.violations = 0
 
 let counter s name = match List.assoc_opt name s.totals with Some n -> n | None -> 0
 
-(* {2 Multicore chaos} *)
-
-(* Pure data: this module sits below lib/parallel, so shard-kill
-   schedules are described here and converted to Supervisor kills by
-   the experiments layer. *)
-type shard_kill = {
-  sk_shard : int;
-  sk_attempt : int;
-  sk_progress : int;
-  sk_stall : bool;
-}
-
-(* 0-2 kills per shard keeps every schedule inside the default restart
-   budget (3): chaos exercises recovery, escalation is a separate,
-   deliberate test.  Progresses are sorted so attempt n's kill point
-   never precedes attempt n-1's — later attempts resume at or before
-   the earlier kill point, so each kill has a chance to fire.  A fifth
-   of the kills stall instead of crashing. *)
-let shard_schedule rng ~shards ~steps =
-  assert (shards >= 1 && steps >= 1);
-  List.concat
-    (List.init shards (fun s ->
-         let n = Sim.Rng.int rng 3 in
-         let points =
-           List.sort compare
-             (List.init n (fun _ -> Sim.Rng.int_in rng 1 steps))
-         in
-         List.mapi
-           (fun a p ->
-             { sk_shard = s; sk_attempt = a; sk_progress = p;
-               sk_stall = Sim.Rng.int rng 5 = 0 })
-           points))
-
-type shard_scenario = {
-  sh_name : string;
-  sh_run :
-    seed:int ->
-    kills:shard_kill list ->
-    engine:Obs.Sink.t ->
-    supervision:Obs.Sink.t ->
-    (string * int) list;
-}
-
-type sharded_result = {
-  sr_scenario : string;
-  sr_index : int;
-  sr_kills : shard_kill list;
-  sr_counters : (string * int) list;
-  sr_engine_events : int;
-  sr_supervision_events : int;
-  sr_check : Obs.Check.report;
-}
-
-type sharded_summary = {
-  sr_runs : sharded_result list;
-  sr_total_events : int;
-  sr_violations : int;
-  sr_totals : (string * int) list;
-}
-
-(* A sharded round produces two vocabularies — the engine trace and
-   the supervision trace — which must live in separate run segments or
-   the vocabulary invariant (rightly) fires.  The scenario writes into
-   plain buffering sinks; the harness splices the buffers into the
-   JSONL trace afterwards as runs 2i (engine) and 2i+1 (supervision),
-   when it knows the engine segment's time extent. *)
-let run_sharded ?(trace = Obs.Sink.null) ?progress ?kills ~scenarios ~shards
-    ~steps ~runs ~seed () =
-  assert (runs >= 1 && scenarios <> []);
-  let rng = Sim.Rng.create seed in
-  let n = List.length scenarios in
-  let results = ref [] in
-  let offset = ref 0 in
-  let emit_segment ~seed ~config ~run events =
-    let seg = Obs.Sink.segment ~seed ~config ~run ~offset:!offset trace in
-    List.iter (Obs.Sink.emit seg) events;
-    List.iter
-      (fun (ev : Obs.Event.t) ->
-        if !offset + ev.t_us >= !offset then
-          offset := max !offset (!offset + ev.t_us))
-      events;
-    incr offset
-  in
-  for index = 0 to runs - 1 do
-    let scenario = List.nth scenarios (index mod n) in
-    let drawn = shard_schedule rng ~shards ~steps in
-    let kills = match kills with Some ks -> ks | None -> drawn in
-    let run_seed = Sim.Rng.int rng 0x3FFFFFFF in
-    let engine_buf = ref [] in
-    let sup_buf = ref [] in
-    let counters =
-      scenario.sh_run ~seed:run_seed ~kills
-        ~engine:(Obs.Sink.collect (fun ev -> engine_buf := ev :: !engine_buf))
-        ~supervision:(Obs.Sink.collect (fun ev -> sup_buf := ev :: !sup_buf))
-    in
-    let engine_events = List.rev !engine_buf in
-    let sup_events = List.rev !sup_buf in
-    let config = "chaos sharded scenario=" ^ scenario.sh_name in
-    if Obs.Sink.is_active trace then begin
-      emit_segment ~seed:run_seed ~config ~run:(2 * index) engine_events;
-      emit_segment ~seed:run_seed ~config:(config ^ " supervision")
-        ~run:((2 * index) + 1)
-        sup_events
-    end;
-    (* In-memory check: same two-segment structure, one boundary. *)
-    let boundary =
-      Obs.Event.make ~t_us:0
-        (Obs.Event.Run_start { run = 1; seed = None; config = None })
-    in
-    let check = Obs.Check.check_events (engine_events @ (boundary :: sup_events)) in
-    results :=
-      {
-        sr_scenario = scenario.sh_name;
-        sr_index = index;
-        sr_kills = kills;
-        sr_counters = counters;
-        sr_engine_events = List.length engine_events;
-        sr_supervision_events = List.length sup_events;
-        sr_check = check;
-      }
-      :: !results;
-    (match progress with Some f -> f index | None -> ())
-  done;
-  let rounds = List.rev !results in
-  let violation_count (r : Obs.Check.report) =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 r.counts
-  in
-  {
-    sr_runs = rounds;
-    sr_total_events =
-      List.fold_left
-        (fun acc r -> acc + r.sr_engine_events + r.sr_supervision_events)
-        0 rounds;
-    sr_violations =
-      List.fold_left (fun acc r -> acc + violation_count r.sr_check) 0 rounds;
-    sr_totals =
-      List.fold_left (fun acc r -> add_counters acc r.sr_counters) [] rounds;
-  }
-
-let sharded_ok s = s.sr_violations = 0
-
-let sharded_counter s name =
-  match List.assoc_opt name s.sr_totals with Some n -> n | None -> 0
+let report ?domains ~json s =
+  let runs = List.length s.runs in
+  let mode = match domains with Some _ -> "multicore chaos" | None -> "chaos" in
+  if json then begin
+    let pair (k, v) = Printf.sprintf "%S:%d" k v in
+    Printf.printf "{\"runs\":%d,\"seed\":%d,%s\"events\":%d,\"violations\":%d,\"totals\":{%s}}\n"
+      runs s.seed
+      (match domains with Some d -> Printf.sprintf "\"domains\":%d," d | None -> "")
+      s.total_events s.violations
+      (String.concat "," (List.map pair s.totals))
+  end
+  else begin
+    Printf.printf "%s: %d runs over %d scenarios, seed %d%s\n" mode runs s.scenarios
+      s.seed
+      (match domains with Some d -> Printf.sprintf ", domains %d" d | None -> "");
+    Printf.printf "events: %d, invariant violations: %d\n" s.total_events s.violations;
+    print_endline
+      (match domains with Some _ -> "supervision totals:" | None -> "recovery totals:");
+    List.iter (fun (k, v) -> Printf.printf "  %-20s %d\n" k v) s.totals
+  end;
+  let violated = List.filter (fun r -> not (Obs.Check.ok r.check)) s.runs in
+  List.iter
+    (fun r ->
+      Printf.printf "run %d (%s): INVARIANT VIOLATIONS\n" r.index r.scenario;
+      Obs.Check.print r.check)
+    violated;
+  if violated <> [] then
+    Error
+      (Printf.sprintf "%d of %d %s runs violated trace invariants (seed %d)"
+         (List.length violated) runs mode s.seed)
+  else if counter s "diverged" > 0 then
+    Error
+      (Printf.sprintf "%d %s run(s) DIVERGED from the fault-free reference (seed %d)"
+         (counter s "diverged") mode s.seed)
+  else if counter s "escalated" > 0 then
+    Error
+      (Printf.sprintf "%d %s run(s) escalated past the restart budget (seed %d)"
+         (counter s "escalated") mode s.seed)
+  else Ok ()

@@ -2,44 +2,64 @@
     schedules driven through engine scenarios, every run validated by
     {!Obs.Check}.
 
-    A {!scenario} is a thunk an upper layer (the experiments library,
-    or the CLI) supplies: given a seed, a fault configuration and a
-    sink, run an engine workload and return named recovery counters
-    (e.g. [("mirror_fetches", 3)]).  The harness owns the randomness:
-    one chaos seed deterministically fixes every run's fault schedule
-    and workload seed, so a failing run can be replayed exactly.
+    One round loop serves both kinds of chaos.  It is generic in the
+    fault a round draws — a device {!Device.Fault.config} for the x9
+    scenarios, a shard-kill list for the supervised sharded engines —
+    and in the run segments a round yields: one for a device round,
+    engine plus supervision for a sharded round (the two carry
+    different event vocabularies, so each needs its own segment).
+
+    A {!scenario} is a closure an upper layer (the experiments library)
+    supplies: given a seed and a fault, run a workload and return named
+    counters (e.g. [("mirror_fetches", 3)]) with the round's segments.
+    The harness owns the randomness: one chaos seed deterministically
+    fixes every round's fault and workload seed, so a failing run can
+    be replayed exactly.
 
     Layering note: this module sits below the engines on purpose — it
-    cannot name [Paging] or [Core], so scenarios arrive as closures. *)
+    cannot name [Paging], [Core] or [Parallel], so scenarios arrive as
+    closures and a kill list is just another ['fault]. *)
 
-type scenario = {
-  name : string;
-  run :
-    seed:int ->
-    fault:Device.Fault.config ->
-    obs:Obs.Sink.t ->
-    (string * int) list;
-      (** run the workload, return named recovery/outcome counters *)
+type segment = {
+  config : string;  (** stamped into the segment's [run_start] boundary *)
+  events : Obs.Event.t list;  (** unshifted, in emission order *)
 }
 
-type run_result = {
+type 'fault scenario = {
+  name : string;
+  run : seed:int -> fault:'fault -> (string * int) list * segment list;
+      (** run the workload; return named counters and the round's
+          segments, in splice order *)
+}
+
+val device :
+  name:string ->
+  (seed:int -> fault:Device.Fault.config -> obs:Obs.Sink.t -> (string * int) list) ->
+  Device.Fault.config scenario
+(** A device scenario: the workload writes into [obs], and the round
+    yields that stream as one segment, configured
+    ["chaos scenario=NAME"]. *)
+
+type 'fault run_result = {
   scenario : string;
   index : int;
-  fault : Device.Fault.config;
+  fault : 'fault;  (** what the round drew *)
   counters : (string * int) list;
   events : int;
   check : Obs.Check.report;
 }
 
-type summary = {
-  runs : run_result list;
+type 'fault summary = {
+  runs : 'fault run_result list;
+  seed : int;  (** the chaos seed *)
+  scenarios : int;  (** distinct scenarios cycled through *)
   total_events : int;
   violations : int;  (** invariant violations across all runs *)
   totals : (string * int) list;  (** counters summed across runs *)
 }
 
 val schedule : Sim.Rng.t -> Device.Fault.config
-(** Draw one fault configuration: read error probability in
+(** Draw one device fault configuration: read error probability in
     [0.05, 0.45), write errors on half the schedules, permanence up to
     0.3, 0-3 retries, always [Fail] escalation (chaos exercises
     recovery, and [Degrade] never surfaces a failure). *)
@@ -47,98 +67,36 @@ val schedule : Sim.Rng.t -> Device.Fault.config
 val run :
   ?trace:Obs.Sink.t ->
   ?progress:(int -> unit) ->
-  scenarios:scenario list ->
+  ?count_boundaries:bool ->
+  draw:(Sim.Rng.t -> 'fault) ->
+  scenarios:'fault scenario list ->
   runs:int ->
   seed:int ->
   unit ->
-  summary
-(** Execute [runs] rounds, cycling through [scenarios], each under a
-    fresh {!schedule} draw.  Every round's event stream is collected
-    and checked ({!Obs.Check.check_events}); [trace], if given, receives
-    the spliced multi-run stream ({!Obs.Sink.segment} boundaries
-    included) for offline re-checking.  [progress] is called after each
-    round with its index. *)
+  'fault summary
+(** Execute [runs] rounds, cycling through [scenarios].  Each round
+    draws its fault with [draw], then its workload seed, both from the
+    chaos seed's stream.  The round's segments are spliced one after
+    another into a single monotone multi-run stream: segment [k] of
+    the whole run becomes run [k], announced by an
+    {!Obs.Sink.segment} boundary one microsecond past the previous
+    segment's latest stamp.  Each round's spliced events are checked
+    ({!Obs.Check.check_events}) and written to [trace], if given, for
+    offline re-checking.  A round's [events] counts its segments'
+    events, plus their boundaries when [count_boundaries] (default
+    [false]; device chaos has always reported its trace's line count).
+    [progress] is called after each round with its index. *)
 
-val ok : summary -> bool
+val ok : _ summary -> bool
 (** Zero invariant violations. *)
 
-val counter : summary -> string -> int
+val counter : _ summary -> string -> int
 (** Summed counter by name, 0 if absent. *)
 
-(** {2 Multicore chaos}
-
-    The sharded variant injects {e shard} faults — simulated domain
-    crashes and stalls at chosen workload steps — instead of device
-    faults.  This module sits below [lib/parallel], so a kill is pure
-    data here; the experiments layer converts it to a supervisor kill
-    and runs the workload under supervision. *)
-
-type shard_kill = {
-  sk_shard : int;  (** which shard to kill *)
-  sk_attempt : int;  (** on which execution attempt (0 = first run) *)
-  sk_progress : int;  (** after how many completed workload steps *)
-  sk_stall : bool;  (** simulate a detected stall instead of a crash *)
-}
-
-val shard_schedule :
-  Sim.Rng.t -> shards:int -> steps:int -> shard_kill list
-(** Draw one kill schedule: per shard, 0-2 kills at ascending workload
-    steps in [1, steps], each a stall with probability 1/5.  At most 2
-    kills per shard keeps every schedule inside the default restart
-    budget — chaos exercises recovery; escalation is a deliberate,
-    separate test. *)
-
-type shard_scenario = {
-  sh_name : string;
-  sh_run :
-    seed:int ->
-    kills:shard_kill list ->
-    engine:Obs.Sink.t ->
-    supervision:Obs.Sink.t ->
-    (string * int) list;
-      (** run a supervised sharded workload; write the merged engine
-          trace to [engine] and the supervision stream to
-          [supervision]; return named counters *)
-}
-
-type sharded_result = {
-  sr_scenario : string;
-  sr_index : int;
-  sr_kills : shard_kill list;
-  sr_counters : (string * int) list;
-  sr_engine_events : int;
-  sr_supervision_events : int;
-  sr_check : Obs.Check.report;
-}
-
-type sharded_summary = {
-  sr_runs : sharded_result list;
-  sr_total_events : int;
-  sr_violations : int;
-  sr_totals : (string * int) list;
-}
-
-val run_sharded :
-  ?trace:Obs.Sink.t ->
-  ?progress:(int -> unit) ->
-  ?kills:shard_kill list ->
-  scenarios:shard_scenario list ->
-  shards:int ->
-  steps:int ->
-  runs:int ->
-  seed:int ->
-  unit ->
-  sharded_summary
-(** Execute [runs] rounds, cycling through [scenarios], each under a
-    fresh {!shard_schedule} draw — or under the fixed [kills] schedule
-    for every round, when given.  Engine and supervision events carry
-    different vocabularies, so each round contributes {e two} run
-    segments to [trace]: run [2i] (engine) then run [2i+1]
-    (supervision).  The in-memory check validates the same two-segment
-    structure per round. *)
-
-val sharded_ok : sharded_summary -> bool
-(** Zero invariant violations. *)
-
-val sharded_counter : sharded_summary -> string -> int
-(** Summed counter by name, 0 if absent. *)
+val report : ?domains:int -> json:bool -> _ summary -> (unit, string) result
+(** Print the summary on stdout — one JSON object with [json], else
+    the text table — followed by every run that violated an
+    invariant.  [domains] marks multicore chaos (a ["multicore chaos"]
+    header with the width, ["supervision totals"]).  [Error] names
+    the first reason the run failed: violated invariants, then a
+    ["diverged"] counter above 0, then an ["escalated"] one. *)

@@ -1,7 +1,8 @@
 (* Tests of the built executables: every subcommand's help renders
    without cmdliner markup errors, `replay` reports a malformed trace
    file as one line on stderr with a non-zero exit, and `run --quick
-   all` prints exactly the committed report. *)
+   all` and the fixed-seed `chaos` runs print exactly the committed
+   reports and traces. *)
 
 let dsas_sim = "../../bin/dsas_sim.exe"
 
@@ -85,12 +86,8 @@ let test_replay_valid () =
       Alcotest.(check string) "summary"
         "LRU over 5 refs with 3 frames: 4 faults (80.00%), 4 cold, 1 evictions\n" stdout)
 
-(* The whole quick sweep is deterministic; the fixture is its output
-   before any refactoring, so a change that alters any experiment's
-   report fails here.  The fixture is never regenerated to pass. *)
-let test_quick_all_unchanged () =
-  let code, stdout, _ = run dsas_sim [ "run"; "--quick"; "all" ] in
-  Alcotest.(check int) "exit 0" 0 code;
+(* First differing line of [actual] against the committed fixture. *)
+let same_as_fixture fixture actual =
   let lines s = String.split_on_char '\n' s in
   let rec first_diff n = function
     | e :: es, a :: as_ -> if e = a then first_diff (n + 1) (es, as_) else Some (n, e, a)
@@ -98,11 +95,30 @@ let test_quick_all_unchanged () =
     | e :: _, [] -> Some (n, e, "<end of output>")
     | [], a :: _ -> Some (n, "<end of fixture>", a)
   in
-  match first_diff 1 (lines (read "../fixtures/quick_all.txt"), lines stdout) with
+  match first_diff 1 (lines (read ("../fixtures/" ^ fixture)), lines actual) with
   | None -> ()
   | Some (n, expected, actual) ->
-    Alcotest.failf "line %d differs from fixtures/quick_all.txt:\n  expected: %s\n  actual:   %s"
-      n expected actual
+    Alcotest.failf "line %d differs from fixtures/%s:\n  expected: %s\n  actual:   %s" n
+      fixture expected actual
+
+(* The fixtures below are the outputs before any refactoring, so a
+   change that alters a report fails here.  They are never regenerated
+   to pass. *)
+let stdout_unchanged args fixture () =
+  let code, stdout, _ = run dsas_sim args in
+  Alcotest.(check int) "exit 0" 0 code;
+  same_as_fixture fixture stdout
+
+let trace_unchanged args fixture () =
+  let file = Filename.temp_file "dsas_cli" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let code, _, _ = run dsas_sim (args @ [ "--trace"; file ]) in
+      Alcotest.(check int) "exit 0" 0 code;
+      same_as_fixture fixture (read file))
+
+let chaos = [ "chaos"; "--quick"; "--seed"; "0xC7A05" ]
 
 let () =
   Alcotest.run "cli"
@@ -123,5 +139,22 @@ let () =
           Alcotest.test_case "garbage line" `Quick (rejected "3\n1\nfour\n");
           Alcotest.test_case "valid file" `Quick test_replay_valid;
         ] );
-      ("run", [ Alcotest.test_case "quick all unchanged" `Quick test_quick_all_unchanged ]);
+      ( "run",
+        [
+          Alcotest.test_case "quick all unchanged" `Quick
+            (stdout_unchanged [ "run"; "--quick"; "all" ] "quick_all.txt");
+        ] );
+      ( "chaos",
+        [
+          Alcotest.test_case "text unchanged" `Quick
+            (stdout_unchanged (chaos @ [ "--runs"; "8" ]) "chaos_quick8.txt");
+          Alcotest.test_case "json unchanged" `Quick
+            (stdout_unchanged (chaos @ [ "--runs"; "8"; "--json" ]) "chaos_quick8.json");
+          Alcotest.test_case "multicore json unchanged" `Quick
+            (stdout_unchanged
+               (chaos @ [ "--domains"; "1"; "--runs"; "4"; "--json" ])
+               "par_chaos_quick4.json");
+          Alcotest.test_case "device trace unchanged" `Quick
+            (trace_unchanged (chaos @ [ "--runs"; "4" ]) "chaos_quick4_trace.jsonl");
+        ] );
     ]

@@ -127,12 +127,12 @@ let collect runner =
   let report = runner sink in
   (report, List.rev_map Obs.Event.to_json !buf |> List.rev)
 
-let alloc_cfg seed =
-  Parallel.Sharded.alloc_config ~shards:4 ~ops_per_shard:300
+let alloc_work seed =
+  Parallel.Sharded.alloc @@ Parallel.Sharded.alloc_config ~shards:4 ~ops_per_shard:300
     ~slots_per_shard:64 ~slot_words:8 ~seed ()
 
-let paging_cfg seed =
-  Parallel.Sharded.paging_config ~shards:4 ~refs_per_shard:150
+let paging_work seed =
+  Parallel.Sharded.paging @@ Parallel.Sharded.paging_config ~shards:4 ~refs_per_shard:150
     ~frames_per_shard:6 ~pages_per_shard:12 ~seed ()
 
 (* For every seed, merging the K-shard streams at execution widths 1,
@@ -142,14 +142,14 @@ let prop_alloc_merge_width_independent =
   QCheck.Test.make ~name:"alloc merge independent of domains" ~count:8
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg = alloc_cfg seed in
+      let cfg = alloc_work seed in
       let ref_report, ref_trace =
-        collect (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 cfg)
+        collect (fun obs -> Parallel.Sharded.run ~obs ~domains:1 cfg)
       in
       List.for_all
         (fun domains ->
           let report, trace =
-            collect (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains cfg)
+            collect (fun obs -> Parallel.Sharded.run ~obs ~domains cfg)
           in
           report = ref_report && trace = ref_trace)
         [ 1; 2; 4 ])
@@ -158,14 +158,14 @@ let prop_paging_merge_width_independent =
   QCheck.Test.make ~name:"paging merge independent of domains" ~count:5
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg = paging_cfg seed in
+      let cfg = paging_work seed in
       let ref_report, ref_trace =
-        collect (fun obs -> Parallel.Sharded.run_paging ~obs ~domains:1 cfg)
+        collect (fun obs -> Parallel.Sharded.run ~obs ~domains:1 cfg)
       in
       List.for_all
         (fun domains ->
           let report, trace =
-            collect (fun obs -> Parallel.Sharded.run_paging ~obs ~domains cfg)
+            collect (fun obs -> Parallel.Sharded.run ~obs ~domains cfg)
           in
           report = ref_report && trace = ref_trace)
         [ 1; 2; 4 ])
@@ -185,16 +185,16 @@ let segment_events () =
   in
   let a_report, a_ev =
     collect_raw (fun obs ->
-        Parallel.Sharded.run_alloc ~obs ~domains:2 (alloc_cfg 0))
+        Parallel.Sharded.run ~obs ~domains:2 (alloc_work 0))
   in
   let _, p_ev =
     collect_raw (fun obs ->
-        Parallel.Sharded.run_paging ~obs ~domains:2 (paging_cfg 0))
+        Parallel.Sharded.run ~obs ~domains:2 (paging_work 0))
   in
   let alloc_end =
     Array.fold_left
       (fun acc (s : Parallel.Sharded.shard_alloc) -> max acc s.sa_elapsed_us)
-      0 a_report.Parallel.Sharded.ar_shards
+      0 a_report.Parallel.Sharded.r_shards
   in
   let emit ~config ~run ~offset events =
     let s = Obs.Sink.segment ~config ~run ~offset file_sink in
@@ -288,10 +288,10 @@ let snap_key (s : Obs.Telemetry.snapshot) =
   (s.Obs.Telemetry.sn_seq, s.sn_t_us, s.sn_shard, s.sn_counters, s.sn_gauges)
 
 let test_telemetry_width_invariant () =
-  let cfg = alloc_cfg 11 in
+  let cfg = alloc_work 11 in
   let tele domains =
-    (Parallel.Sharded.run_alloc ~telemetry:500 ~domains cfg)
-      .Parallel.Sharded.ar_telemetry
+    (Parallel.Sharded.run ~telemetry:500 ~domains cfg)
+      .Parallel.Sharded.r_telemetry
   in
   let reference = tele 1 in
   check_bool "alloc telemetry captured" true (Array.length reference > 0);
@@ -308,10 +308,10 @@ let test_telemetry_width_invariant () =
        [ 2; 4 ]);
   check_bool "merged stream passes Telemetry.check" true
     (Obs.Telemetry.check (Array.to_list reference) = []);
-  let p_cfg = paging_cfg 11 in
+  let p_cfg = paging_work 11 in
   let p_tele domains =
-    (Parallel.Sharded.run_paging ~telemetry:500 ~domains p_cfg)
-      .Parallel.Sharded.pr_telemetry
+    (Parallel.Sharded.run ~telemetry:500 ~domains p_cfg)
+      .Parallel.Sharded.r_telemetry
   in
   let p_ref = p_tele 1 in
   check_bool "paging telemetry captured" true (Array.length p_ref > 0);
@@ -319,15 +319,15 @@ let test_telemetry_width_invariant () =
     (Array.map snap_key (p_tele 4) = Array.map snap_key p_ref)
 
 let test_telemetry_off_by_default () =
-  let r = Parallel.Sharded.run_alloc ~domains:1 (alloc_cfg 11) in
+  let r = Parallel.Sharded.run ~domains:1 (alloc_work 11) in
   check_int "no telemetry unless asked" 0
-    (Array.length r.Parallel.Sharded.ar_telemetry)
+    (Array.length r.Parallel.Sharded.r_telemetry)
 
 let test_supervised_telemetry_matches_fault_free () =
-  let cfg = alloc_cfg 13 in
+  let cfg = alloc_work 13 in
   let fault_free =
-    (Parallel.Sharded.run_alloc ~telemetry:500 ~domains:1 cfg)
-      .Parallel.Sharded.ar_telemetry
+    (Parallel.Sharded.run ~telemetry:500 ~domains:1 cfg)
+      .Parallel.Sharded.r_telemetry
   in
   let kills =
     List.map
@@ -341,17 +341,17 @@ let test_supervised_telemetry_matches_fault_free () =
       [ (0, 150); (2, 40) ]
   in
   match
-    Parallel.Sharded.run_alloc_supervised ~telemetry:500 ~kills ~checkpoint_every:64
+    Parallel.Sharded.run_supervised ~telemetry:500 ~kills ~checkpoint_every:64
       ~domains:2 cfg
   with
   | Error f -> Alcotest.failf "escalated: %s" (Resilience.Failure.to_string f)
   | Ok (report, _) ->
     check_bool "crash-recovered telemetry is the fault-free telemetry" true
-      (Array.map snap_key report.Parallel.Sharded.ar_telemetry
+      (Array.map snap_key report.Parallel.Sharded.r_telemetry
       = Array.map snap_key fault_free)
 
 let test_watchdog_escalation_is_typed_and_atomic () =
-  let cfg = alloc_cfg 17 in
+  let cfg = alloc_work 17 in
   let rule =
     match Obs.Watch.parse "ev.alloc>0@1!" with
     | Ok r -> r
@@ -360,7 +360,7 @@ let test_watchdog_escalation_is_typed_and_atomic () =
   let emitted = ref 0 in
   let obs = Obs.Sink.collect (fun _ -> incr emitted) in
   (match
-     Parallel.Sharded.run_alloc_supervised ~obs ~telemetry:500 ~watch:[ rule ]
+     Parallel.Sharded.run_supervised ~obs ~telemetry:500 ~watch:[ rule ]
        ~domains:2 cfg
    with
    | Ok _ -> Alcotest.fail "an always-firing escalating rule did not trip"
@@ -374,7 +374,7 @@ let test_watchdog_escalation_is_typed_and_atomic () =
   (* a non-escalating version of the same rule only annotates *)
   let tame = { rule with Obs.Watch.escalate = false } in
   match
-    Parallel.Sharded.run_alloc_supervised ~telemetry:500 ~watch:[ tame ] ~domains:2
+    Parallel.Sharded.run_supervised ~telemetry:500 ~watch:[ tame ] ~domains:2
       cfg
   with
   | Ok _ -> ()
@@ -390,11 +390,11 @@ let test_shard_count_is_workload () =
       Parallel.Sharded.alloc_config ~shards ~ops_per_shard:300
         ~slots_per_shard:64 ~slot_words:8 ~seed:0 ()
     in
-    Parallel.Sharded.run_alloc ~domains:1 cfg
+    Parallel.Sharded.run ~domains:1 (Parallel.Sharded.alloc cfg)
   in
   let r2 = run 2 and r4 = run 4 in
-  check_int "2 shards" 2 (Array.length r2.Parallel.Sharded.ar_shards);
-  check_int "4 shards" 4 (Array.length r4.Parallel.Sharded.ar_shards)
+  check_int "2 shards" 2 (Array.length r2.Parallel.Sharded.r_shards);
+  check_int "4 shards" 4 (Array.length r4.Parallel.Sharded.r_shards)
 
 (* --- Supervised execution ----------------------------------------------
 
@@ -444,13 +444,13 @@ let kill ?(stall = false) shard ~attempt ~progress =
   }
 
 let test_supervised_zero_fault_identity () =
-  let a_cfg = alloc_cfg 42 in
+  let a_cfg = alloc_work 42 in
   let a_ref, a_trace =
-    collect_fwd (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:2 a_cfg)
+    collect_fwd (fun obs -> Parallel.Sharded.run ~obs ~domains:2 a_cfg)
   in
   (match
      collect_supervised (fun ~obs ~supervision ->
-         Parallel.Sharded.run_alloc_supervised ~obs ~supervision
+         Parallel.Sharded.run_supervised ~obs ~supervision
            ~checkpoint_every:64 ~domains:2 a_cfg)
    with
    | Error f, _, _ ->
@@ -470,13 +470,13 @@ let test_supervised_zero_fault_identity () =
             o.Parallel.Supervisor.o_checkpoints > 0)
           outcomes);
      check_bool "supervision stream carries them" true (sup <> []));
-  let p_cfg = paging_cfg 42 in
+  let p_cfg = paging_work 42 in
   let p_ref, p_trace =
-    collect_fwd (fun obs -> Parallel.Sharded.run_paging ~obs ~domains:2 p_cfg)
+    collect_fwd (fun obs -> Parallel.Sharded.run ~obs ~domains:2 p_cfg)
   in
   match
     collect_supervised (fun ~obs ~supervision ->
-        Parallel.Sharded.run_paging_supervised ~obs ~supervision
+        Parallel.Sharded.run_supervised ~obs ~supervision
           ~checkpoint_every:32 ~domains:2 p_cfg)
   with
   | Error f, _, _ ->
@@ -503,9 +503,9 @@ let prop_supervised_alloc_recovery =
     ~count:6
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg = alloc_cfg seed in
+      let cfg = alloc_work seed in
       let ref_report, ref_trace =
-        collect_fwd (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 cfg)
+        collect_fwd (fun obs -> Parallel.Sharded.run ~obs ~domains:1 cfg)
       in
       let kills = drawn_kills seed ~shards:4 ~steps:300 in
       let sup_ref = ref None in
@@ -513,7 +513,7 @@ let prop_supervised_alloc_recovery =
         (fun domains ->
           match
             collect_supervised (fun ~obs ~supervision ->
-                Parallel.Sharded.run_alloc_supervised ~obs ~supervision ~kills
+                Parallel.Sharded.run_supervised ~obs ~supervision ~kills
                   ~checkpoint_every:64 ~domains cfg)
           with
           | Error _, _, _ -> false
@@ -533,16 +533,16 @@ let prop_supervised_paging_recovery =
     ~count:3
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg = paging_cfg seed in
+      let cfg = paging_work seed in
       let ref_report, ref_trace =
-        collect_fwd (fun obs -> Parallel.Sharded.run_paging ~obs ~domains:1 cfg)
+        collect_fwd (fun obs -> Parallel.Sharded.run ~obs ~domains:1 cfg)
       in
       let kills = drawn_kills (seed + 1) ~shards:4 ~steps:150 in
       List.for_all
         (fun domains ->
           match
             collect_supervised (fun ~obs ~supervision ->
-                Parallel.Sharded.run_paging_supervised ~obs ~supervision ~kills
+                Parallel.Sharded.run_supervised ~obs ~supervision ~kills
                   ~checkpoint_every:32 ~domains cfg)
           with
           | Error _, _, _ -> false
@@ -551,12 +551,12 @@ let prop_supervised_paging_recovery =
         [ 1; 2; 4 ])
 
 let test_supervised_escalates_shard_crashed () =
-  let cfg = alloc_cfg 3 in
+  let cfg = alloc_work 3 in
   (* Four crashes on shard 1, one per attempt: the default budget of
      three restarts is spent and the fourth fault escalates. *)
   let kills = List.init 4 (fun a -> kill 1 ~attempt:a ~progress:17) in
   match
-    Parallel.Sharded.run_alloc_supervised ~kills ~checkpoint_every:0 ~domains:2
+    Parallel.Sharded.run_supervised ~kills ~checkpoint_every:0 ~domains:2
       cfg
   with
   | Ok _ -> Alcotest.fail "restart budget exceeded yet the run succeeded"
@@ -567,10 +567,10 @@ let test_supervised_escalates_shard_crashed () =
     Alcotest.failf "wrong failure class: %s" (Resilience.Failure.to_string f)
 
 let test_supervised_escalates_shard_stalled () =
-  let cfg = paging_cfg 3 in
+  let cfg = paging_work 3 in
   let kills = List.init 4 (fun a -> kill ~stall:true 2 ~attempt:a ~progress:9) in
   match
-    Parallel.Sharded.run_paging_supervised ~kills ~checkpoint_every:0 ~domains:2
+    Parallel.Sharded.run_supervised ~kills ~checkpoint_every:0 ~domains:2
       cfg
   with
   | Ok _ -> Alcotest.fail "restart budget exceeded yet the run succeeded"
@@ -582,14 +582,14 @@ let test_supervised_escalates_shard_stalled () =
 
 let test_supervised_checkpoint_dir_mirrors () =
   with_temp_dir (fun dir ->
-      let cfg = alloc_cfg 5 in
+      let cfg = alloc_work 5 in
       let _, ref_trace =
-        collect_fwd (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 cfg)
+        collect_fwd (fun obs -> Parallel.Sharded.run ~obs ~domains:1 cfg)
       in
       let kills = [ kill 0 ~attempt:0 ~progress:100 ] in
       match
         collect_supervised (fun ~obs ~supervision ->
-            Parallel.Sharded.run_alloc_supervised ~obs ~supervision ~kills
+            Parallel.Sharded.run_supervised ~obs ~supervision ~kills
               ~checkpoint_every:32 ~checkpoint_dir:dir ~domains:2 cfg)
       with
       | Error f, _, _ ->
@@ -600,6 +600,123 @@ let test_supervised_checkpoint_dir_mirrors () =
           outcomes.(0).Parallel.Supervisor.o_crashes;
         check_bool "checkpoint mirrored to disk" true
           (Sys.file_exists (Filename.concat dir "shard0.ckpt")))
+
+(* --- The kill-schedule parser (run and chaos --kill-shard) --- *)
+
+let spec_of_kills kills =
+  String.concat ","
+    (List.map
+       (fun k ->
+         Printf.sprintf "%d@%d" k.Parallel.Supervisor.k_shard
+           k.Parallel.Supervisor.k_progress)
+       kills)
+
+(* A parsed schedule is well formed: shards >= 0, progress >= 1, crashes
+   only, and each shard's kills numbered 0, 1, 2... in listed order. *)
+let well_formed kills =
+  let rec go seen = function
+    | [] -> true
+    | (k : Parallel.Supervisor.kill) :: rest ->
+      let attempt = List.length (List.filter (( = ) k.k_shard) seen) in
+      k.k_shard >= 0 && k.k_progress >= 1 && (not k.k_stall)
+      && k.k_attempt = attempt
+      && go (k.k_shard :: seen) rest
+  in
+  go [] kills
+
+let test_parse_kills_examples () =
+  let ok spec expected =
+    match Parallel.Supervisor.parse_kills spec with
+    | Ok ks ->
+      Alcotest.(check (list (triple int int int)))
+        spec expected
+        (List.map
+           (fun (k : Parallel.Supervisor.kill) -> (k.k_shard, k.k_attempt, k.k_progress))
+           ks)
+    | Error e -> Alcotest.failf "%S refused: %s" spec e
+  in
+  ok "0@500,1@200,0@900" [ (0, 0, 500); (1, 0, 200); (0, 1, 900) ];
+  ok " 2 @ 7 " [ (2, 0, 7) ];
+  ok "0@500,0@500,0@500,0@500" [ (0, 0, 500); (0, 1, 500); (0, 2, 500); (0, 3, 500) ];
+  List.iter
+    (fun spec ->
+      check_bool (Printf.sprintf "%S refused" spec) true
+        (Result.is_error (Parallel.Supervisor.parse_kills spec)))
+    [ ""; ","; "0@5,"; ",0@5"; "0@"; "@5"; "0"; "0@@5"; "0@5@6"; "-1@5"; "0@0";
+      "0@-3"; "x@5"; "0@5x"; "4611686018427387904@1"; "0@99999999999999999999" ]
+
+(* Valid schedules, then 1-3 mutations: truncation, byte flips, a
+   doubled or dropped '@', empty parts, negative shards, P = 0,
+   whitespace, integers past max_int. *)
+let mutated_spec_gen =
+  let open QCheck.Gen in
+  let mutate spec =
+    let n = String.length spec in
+    let at = if n = 0 then return 0 else int_bound n in
+    let splice i ins drop =
+      let i = min i n in
+      let drop = min drop (n - i) in
+      String.sub spec 0 i ^ ins ^ String.sub spec (i + drop) (n - i - drop)
+    in
+    let at_char c =
+      match String.index_opt spec c with Some i -> return i | None -> at
+    in
+    oneof
+      [
+        map (fun i -> String.sub spec 0 (min i n)) at;
+        map2 (fun i c -> splice i (String.make 1 c) 1) at
+          (oneofl [ '@'; ','; '-'; ' '; '0'; '9'; 'x'; '\000'; '\255'; '\n' ]);
+        map (fun i -> splice (i + 1) "@" 0) (at_char '@');
+        map (fun i -> splice i "" 1) (at_char '@');
+        map (fun i -> splice i ",," 0) at;
+        return ("," ^ spec);
+        return (spec ^ ",");
+        return ("-1@5," ^ spec);
+        return (spec ^ ",0@0");
+        map2 (fun i ws -> splice i ws 0) at (oneofl [ " "; "\t"; "  "; "\r\n" ]);
+        map (fun big -> big ^ "@1," ^ spec)
+          (oneofl
+             [ "4611686018427387904"; "99999999999999999999999"; "0x7FFFFFFFFFFFFFFF";
+               "-4611686018427387905" ]);
+        map (fun big -> spec ^ ",0@" ^ big)
+          (oneofl [ "4611686018427387904"; "0b1111"; "1_000"; "+3" ]);
+      ]
+  in
+  let kills = list_size (int_range 0 6) (pair (int_bound 5) (int_range 1 1000)) in
+  let base =
+    map
+      (fun ks -> String.concat "," (List.map (fun (s, p) -> Printf.sprintf "%d@%d" s p) ks))
+      kills
+  in
+  base >>= fun spec ->
+  int_range 1 3 >>= fun rounds ->
+  let rec apply k spec = if k = 0 then return spec else mutate spec >>= apply (k - 1) in
+  apply rounds spec
+
+let prop_parse_kills_rejects_or_validates =
+  QCheck.Test.make ~name:"kill parser: Error or a well-formed schedule" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_spec_gen)
+    (fun spec ->
+      match Parallel.Supervisor.parse_kills spec with
+      | Error _ -> true
+      | Ok kills -> well_formed kills)
+
+let prop_parse_kills_roundtrip =
+  QCheck.Test.make ~name:"kill parser round-trips printed schedules" ~count:500
+    QCheck.(list_of_size Gen.(int_range 1 8) (pair (int_bound 7) (int_range 1 100_000)))
+    (fun pairs ->
+      let spec =
+        String.concat "," (List.map (fun (s, p) -> Printf.sprintf "%d@%d" s p) pairs)
+      in
+      match Parallel.Supervisor.parse_kills spec with
+      | Error _ -> false
+      | Ok kills ->
+        well_formed kills
+        && List.map
+             (fun (k : Parallel.Supervisor.kill) -> (k.k_shard, k.k_progress))
+             kills
+           = pairs
+        && spec_of_kills kills = spec)
 
 (* --- Supervisor over a synthetic body: resume and poisoning --- *)
 
@@ -864,6 +981,12 @@ let () =
             test_supervise_resumes_from_checkpoint;
           Alcotest.test_case "inconsistent checkpoint is poisoned" `Quick
             test_supervise_poisons_inconsistent_checkpoint;
+        ] );
+      ( "kill parser",
+        [
+          Alcotest.test_case "examples" `Quick test_parse_kills_examples;
+          QCheck_alcotest.to_alcotest prop_parse_kills_rejects_or_validates;
+          QCheck_alcotest.to_alcotest prop_parse_kills_roundtrip;
         ] );
       ( "checkpoint",
         [

@@ -499,7 +499,7 @@ let test_chaos_schedule_bounds () =
 
 let test_chaos_reproducible () =
   let go () =
-    Resilience.Chaos.run
+    Resilience.Chaos.run ~count_boundaries:true ~draw:Resilience.Chaos.schedule
       ~scenarios:(Experiments.X9_resilience.scenarios ~quick:true ())
       ~runs:8 ~seed:0xFEED ()
   in
@@ -515,14 +515,14 @@ let test_chaos_reproducible () =
    the subsystem exercised at least once. *)
 let test_chaos_sweep_200 () =
   let s =
-    Resilience.Chaos.run
+    Resilience.Chaos.run ~count_boundaries:true ~draw:Resilience.Chaos.schedule
       ~scenarios:(Experiments.X9_resilience.scenarios ~quick:true ())
       ~runs:200 ~seed:0xC7A05 ()
   in
   check_int "200 runs executed" 200 (List.length s.Resilience.Chaos.runs);
   if not (Resilience.Chaos.ok s) then begin
     List.iter
-      (fun (r : Resilience.Chaos.run_result) ->
+      (fun (r : _ Resilience.Chaos.run_result) ->
         if not (Obs.Check.ok r.Resilience.Chaos.check) then begin
           Printf.printf "run %d (%s):\n" r.Resilience.Chaos.index
             r.Resilience.Chaos.scenario;
@@ -549,6 +549,55 @@ let test_chaos_sweep_200 () =
       (* write-side honesty *)
       "write_rolls_skipped";
     ]
+
+(* Multicore chaos through the same loop: each round yields an engine
+   and a supervision segment.  Every run_start sits one microsecond past
+   the latest stamp of the segment before it (the maximum, not a running
+   sum), the spliced trace passes Obs.Check, and it is the same at
+   widths 1 and 2. *)
+let test_chaos_sharded_segments () =
+  let go domains =
+    let trace = ref [] in
+    let s =
+      Resilience.Chaos.run
+        ~trace:(Obs.Sink.collect (fun ev -> trace := ev :: !trace))
+        ~draw:(Experiments.Par_chaos.draw ~quick:true)
+        ~scenarios:(Experiments.Par_chaos.scenarios ~quick:true ~domains ())
+        ~runs:4 ~seed:0xC7A05 ()
+    in
+    (s, List.rev !trace)
+  in
+  let s, events = go 1 in
+  check_bool "no violations" true (Resilience.Chaos.ok s);
+  check_int "no divergence" 0 (Resilience.Chaos.counter s "diverged");
+  check_bool "kills fired" true (Resilience.Chaos.counter s "crashes" > 0);
+  let starts = ref 0 in
+  let (_ : int option) =
+    List.fold_left
+      (fun latest (ev : Obs.Event.t) ->
+        match (ev.kind, latest) with
+        | Obs.Event.Run_start { run; _ }, Some t ->
+          incr starts;
+          check_int (Printf.sprintf "run %d starts past the last stamp" run) (t + 1)
+            ev.t_us;
+          Some ev.t_us
+        | Obs.Event.Run_start _, None ->
+          incr starts;
+          check_int "first segment at 0" 0 ev.t_us;
+          Some ev.t_us
+        | _, Some t -> Some (max t ev.t_us)
+        | _, None -> Alcotest.fail "event before the first run_start")
+      None events
+  in
+  check_int "two segments per round" 8 !starts;
+  let report = Obs.Check.check_events events in
+  if not (Obs.Check.ok report) then begin
+    Obs.Check.print report;
+    Alcotest.fail "spliced multicore chaos trace violated trace invariants"
+  end;
+  let _, events2 = go 2 in
+  check_bool "width 2 splices the same trace" true
+    (List.map Obs.Event.to_json events = List.map Obs.Event.to_json events2)
 
 (* --- property: any fault schedule, mirror recovery absorbs it all --- *)
 
@@ -633,5 +682,7 @@ let () =
           Alcotest.test_case "reproducible" `Quick test_chaos_reproducible;
           Alcotest.test_case "200-run sweep" `Slow test_chaos_sweep_200;
           QCheck_alcotest.to_alcotest mirror_absorbs_any_schedule;
+          Alcotest.test_case "sharded segments splice by maximum" `Quick
+            test_chaos_sharded_segments;
         ] );
     ]
