@@ -11,9 +11,9 @@
     experiment drives both sharded engines (the lock-free fixed-size
     allocator and demand paging), prints per-shard accounting with
     fault columns, and {e verifies the determinism contract
-    in-process}: the recovered merged trace produced at the requested
-    execution width is compared byte-for-byte against a width-1
-    unsupervised reference.  Every number printed is a pure function
+    in-process} with {!Parallel.Sharded.recovery_check}: the recovered
+    merged trace produced at the requested execution width is compared
+    byte-for-byte against a width-1 unsupervised reference.  Every number printed is a pure function
     of (config, seed, kills) — never of [domains].
 
     The trace sink receives the engine streams as runs 0-1 and the

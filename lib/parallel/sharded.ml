@@ -19,9 +19,10 @@
 let alloc_rng_site shard = 0xA110C + (shard * 7919)
 let paging_rng_site shard = 0x9A61B + (shard * 104729)
 
-(* A shard buffers its (already relabelled) events locally; reversed
-   into an array at the end so streams arrive in emission order.
-   [init] pre-seeds the buffer with a checkpoint's event prefix. *)
+(* A shard buffers its (already relabelled) events locally, and the
+   recovery check buffers merged streams the same way; reversed into an
+   array at the end so streams arrive in emission order.  [init]
+   pre-seeds the buffer with a checkpoint's event prefix. *)
 let buffer_sink ?(init = [||]) () =
   let buf = ref (List.rev (Array.to_list init)) in
   let sink = Obs.Sink.collect (fun ev -> buf := ev :: !buf) in
@@ -507,11 +508,6 @@ type 's recovery = {
   identical : bool;
 }
 
-let collector () =
-  let buf = ref [] in
-  ( Obs.Sink.collect (fun ev -> buf := ev :: !buf),
-    fun () -> Array.of_list (List.rev !buf) )
-
 (* Byte for byte on the wire encoding: the same bytes a --trace file
    would hold. *)
 let same_bytes a b =
@@ -521,11 +517,11 @@ let same_bytes a b =
        a b
 
 let recovery_check ?kills ~checkpoint_every ~domains w =
-  let ref_sink, ref_events = collector () in
+  let ref_sink, ref_events = buffer_sink () in
   let reference = run ~obs:ref_sink ~domains:1 w in
   let reference_events = ref_events () in
-  let sink, events = collector () in
-  let sup, sup_events = collector () in
+  let sink, events = buffer_sink () in
+  let sup, sup_events = buffer_sink () in
   let subject =
     match
       run_supervised ~obs:sink ~supervision:sup ?kills ~checkpoint_every ~domains w

@@ -27,7 +27,13 @@
     paging run owns pages [[s*pages, (s+1)*pages)] and a disjoint
     io-request-id range.  A merged stream therefore passes
     {!Obs.Check} as one run segment: residency, io pairing and
-    first-touch accounting never collide across shards. *)
+    first-touch accounting never collide across shards.
+
+    The code paths.  A workload ({!alloc}, {!paging}) is a shard count
+    plus one body per shard.  There is one plain driver ({!run}), one
+    supervised driver ({!run_supervised}) and one recovery check
+    ({!recovery_check}) built from the two; each is generic over the
+    workload. *)
 
 (** {2 Workloads and reports} *)
 

@@ -16,7 +16,11 @@
 
     A shard that exhausts [max_restarts] escalates as a typed
     {!Resilience.Failure.t} ([Shard_crashed] or [Shard_stalled] after
-    the last observed fault) instead of raising. *)
+    the last observed fault) instead of raising.
+
+    {!kill} is the one kill record: drawn chaos schedules, the
+    [par_chaos] campaign grid and the CLI's [--kill-shard S@P,...]
+    ({!parse_kills}, shared by [run] and [chaos]) all build it. *)
 
 type fault = Crash | Stall
 

@@ -125,7 +125,8 @@ let report ?domains ~json s =
   let mode = match domains with Some _ -> "multicore chaos" | None -> "chaos" in
   if json then begin
     let pair (k, v) = Printf.sprintf "%S:%d" k v in
-    Printf.printf "{\"runs\":%d,\"seed\":%d,%s\"events\":%d,\"violations\":%d,\"totals\":{%s}}\n"
+    Printf.printf
+      "{\"runs\":%d,\"seed\":%d,%s\"events\":%d,\"violations\":%d,\"totals\":{%s}}\n"
       runs s.seed
       (match domains with Some d -> Printf.sprintf "\"domains\":%d," d | None -> "")
       s.total_events s.violations

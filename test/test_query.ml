@@ -446,6 +446,10 @@ let test_bench_load_errors () =
   (match Obs.Bench.load "/no/such/bench.json" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "missing file loaded");
+  (* a directory is a typed error, not an exception out of the reader *)
+  (match Obs.Bench.load Filename.current_dir_name with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "directory loaded");
   let garbage = temp_file "not json at all" in
   (match Obs.Bench.load garbage with
    | Error _ -> ()
